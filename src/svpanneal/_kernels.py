@@ -1,10 +1,13 @@
 """Hot loops for the sweep propagator and the annealing sampler.
 
-Compiled with numba when available; the numpy fallbacks implement exactly
-the same arithmetic (the propagator fallback is vectorized, the sampler
-fallback is a plain loop kept for completeness).
+The sweep propagators are vectorized numpy: one on the full 2^n state
+vector, one on a tensor product of small ladders (the symmetric sector of a
+Hamming problem).  The sampler is compiled with numba when available; its
+fallback is a plain loop with exactly the same arithmetic.
 """
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -19,6 +22,21 @@ except ImportError:  # pragma: no cover
 # fourth-order step
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
+# phase factors the sector propagator tabulates at once (1 MiB per table)
+_PHASE_BLOCK = 1 << 16
+
+
+def _substeps(h0, T, windows):
+    """(theta, phi) of every Strang substep in order, three Yoshida substeps
+    per window: the driver half-step applies exp(i theta sum sigma_x), the
+    problem step exp(-i phi diag)."""
+    dt = T / windows
+    t = np.arange(windows) * dt
+    t0 = np.stack([t, t + _W1 * dt, t + (_W1 + _W0) * dt], axis=1).reshape(-1)
+    sub = np.tile([_W1 * dt, _W0 * dt, _W1 * dt], windows)
+    s_frac = (t0 + 0.5 * sub) / T
+    theta = h0 * (1.0 - s_frac) * sub / 2.0
+    return theta, sub * s_frac
 
 
 def _mix_all_bits_np(psi: np.ndarray, n: int, c: float, s: float) -> np.ndarray:
@@ -30,70 +48,60 @@ def _mix_all_bits_np(psi: np.ndarray, n: int, c: float, s: float) -> np.ndarray:
     return psi
 
 
-def _strang_np(psi, diag, n, h0, T, t0, dt):
-    s_frac = (t0 + 0.5 * dt) / T
-    theta = h0 * (1.0 - s_frac) * dt / 2.0
-    psi = _mix_all_bits_np(psi, n, np.cos(theta), np.sin(theta))
-    psi = psi * np.exp(-1j * dt * s_frac * diag)
-    return _mix_all_bits_np(psi, n, np.cos(theta), np.sin(theta))
-
-
-def _yoshida_sweep_np(psi, diag, n, h0, T, windows):
-    dt = T / windows
-    for k in range(windows):
-        t = k * dt
-        psi = _strang_np(psi, diag, n, h0, T, t, _W1 * dt)
-        psi = _strang_np(psi, diag, n, h0, T, t + _W1 * dt, _W0 * dt)
-        psi = _strang_np(psi, diag, n, h0, T, t + (_W1 + _W0) * dt, _W1 * dt)
+def yoshida_sweep(psi, diag, n, h0, T, windows):
+    """Propagate the full 2^n state psi through the linear sweep with
+    `windows` fourth-order splitting steps; returns the final state."""
+    for theta, phi in zip(*_substeps(h0, T, windows)):
+        c, s = np.cos(theta), np.sin(theta)
+        psi = _mix_all_bits_np(psi, n, c, s)
+        psi = psi * np.exp(-1j * phi * diag)
+        psi = _mix_all_bits_np(psi, n, c, s)
     return psi
 
 
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _mix_all_bits(psi, n, c, s):
-        dim = psi.shape[0]
-        for b in range(n):
-            stride = 1 << b
-            step = stride << 1
-            for base in range(0, dim, step):
-                for off in range(stride):
-                    i0 = base + off
-                    i1 = i0 + stride
-                    a0 = psi[i0]
-                    a1 = psi[i1]
-                    psi[i0] = c * a0 + 1j * s * a1
-                    psi[i1] = 1j * s * a0 + c * a1
-
-    @numba.njit(cache=True)
-    def _strang_window(psi, diag, n, h0, T, t0, dt):
-        dim = psi.shape[0]
-        s_frac = (t0 + 0.5 * dt) / T
-        theta = h0 * (1.0 - s_frac) * dt / 2.0
-        c = np.cos(theta)
-        s = np.sin(theta)
-        _mix_all_bits(psi, n, c, s)
-        for i in range(dim):
-            psi[i] = psi[i] * np.exp(-1j * dt * s_frac * diag[i])
-        _mix_all_bits(psi, n, c, s)
-
-    @numba.njit(cache=True)
-    def _yoshida_sweep_nb(psi, diag, n, h0, T, windows):
-        dt = T / windows
-        for k in range(windows):
-            t = k * dt
-            _strang_window(psi, diag, n, h0, T, t, _W1 * dt)
-            _strang_window(psi, diag, n, h0, T, t + _W1 * dt, _W0 * dt)
-            _strang_window(psi, diag, n, h0, T, t + (_W1 + _W0) * dt, _W1 * dt)
+def _each_axis(x: np.ndarray, mat: np.ndarray, shapes) -> np.ndarray:
+    """Apply the real d x d matrix along every axis of the flat complex
+    tensor x, one broadcast matmul per axis on the interleaved real view;
+    ``shapes`` holds (d**a, d, -1) for every axis a."""
+    r = x.view(np.float64)
+    for shape in shapes:
+        r = np.matmul(mat, r.reshape(shape))
+    return r.reshape(-1).view(np.complex128)
 
 
-def yoshida_sweep(psi, diag, n, h0, T, windows, use_numba=True):
-    """Propagate psi in place through the linear sweep with `windows`
-    fourth-order splitting steps; returns the final state."""
-    if HAVE_NUMBA and use_numba:
-        _yoshida_sweep_nb(psi, diag, n, h0, T, windows)
-        return psi
-    return _yoshida_sweep_np(psi, diag, n, h0, T, windows)
+def yoshida_sweep_sector(psi, diag, ladder, h0, T, windows):
+    """The same splitting as ``yoshida_sweep`` on a tensor product of
+    ladders: psi (complex) and diag have shape (d,) * N, one axis per
+    ladder, and every ladder's transverse field is the real symmetric d x d
+    matrix ``ladder``.
+
+    The state stays in the ladder eigenbasis, where the driver is diagonal,
+    so adjacent driver half-steps merge into one phase; each problem step
+    rotates to the ladder basis and back.
+    """
+    n_axes = diag.ndim
+    diag = diag.reshape(-1)
+    d = ladder.shape[0]
+    shapes = [(d ** a, d, -1) for a in range(n_axes)]
+    lam, vec = np.linalg.eigh(ladder)
+    lam_all = reduce(np.add.outer, [lam] * n_axes).reshape(-1)
+    theta, phi = _substeps(h0, T, windows)
+    # driver angle before each problem step, then the closing half-step
+    alpha = np.append(theta, 0.0)
+    alpha[1:] += theta
+    x = _each_axis(psi.reshape(-1), vec.T, shapes)
+    # phases are tabulated for a block of substeps at a time
+    block = max(1, _PHASE_BLOCK // diag.size)
+    for k in range(0, phi.size, block):
+        drv = np.exp(1j * np.multiply.outer(alpha[k:k + block], lam_all))
+        prob = np.exp(-1j * np.multiply.outer(phi[k:k + block], diag))
+        for d_ph, p_ph in zip(drv, prob):
+            x *= d_ph
+            y = _each_axis(x, vec, shapes)
+            y *= p_ph
+            x = _each_axis(y, vec.T, shapes)
+    x *= np.exp(1j * alpha[-1] * lam_all)
+    return _each_axis(x, vec, shapes).reshape(psi.shape)
 
 
 def _metropolis_py(nbr_ptr, nbr_idx, nbr_val, h, betas, reads, seeds):

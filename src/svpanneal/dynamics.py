@@ -8,19 +8,21 @@ The propagator is a fourth-order splitting: both factors (diagonal phase and
 single-qubit driver rotations) are applied exactly, so every step is unitary
 and norm drift is limited to float roundoff.  The default window count
 scales with T * (max problem energy + h0 * n), which bounds the phase
-advanced per window.
+advanced per window.  Hamming problems are integrated in the symmetric
+sector, (m+1)^N ladder states instead of 2^n amplitudes, with the same
+splitting and window count.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .encoding import QuditEncoding, compile_ising
 from .lattice import Basis, Instance, gram
-from .spectrum import DriverSpec, ProblemDiagonal
+from .spectrum import DriverSpec, ProblemDiagonal, ladder_sector
 
 # radians of worst-case phase advanced per splitting window at the default
 # resolution, plus a per-unit-time floor so short low-energy sweeps stay
@@ -100,10 +102,11 @@ class SweepResult:
         return sorted(k for k in self.grouped if k > 0)
 
 
-def group_probabilities(diag: ProblemDiagonal, probs: np.ndarray) -> dict[int, float]:
-    """Total probability per exact squared length."""
-    levels, inverse = np.unique(diag.values, return_inverse=True)
-    mass = np.bincount(inverse, weights=probs)
+def group_probabilities(values: np.ndarray, probs: np.ndarray) -> dict[int, float]:
+    """Total probability per exact squared length, outcome i having squared
+    length values[i]."""
+    levels, inverse = np.unique(values, return_inverse=True)
+    mass = np.bincount(inverse.reshape(-1), weights=probs.reshape(-1))
     return {int(l): float(p) for l, p in zip(levels, mass)}
 
 
@@ -111,21 +114,36 @@ def evolve(
     diag: ProblemDiagonal,
     driver: DriverSpec,
     schedule: SweepSchedule,
-    use_numba: bool = True,
 ) -> SweepResult:
     """Integrate the sweep and return final outcome probabilities grouped
-    by squared length."""
+    by squared length.
+
+    A Hamming problem (a diagonal with a redundant layout) is integrated in
+    its symmetric sector (``ladder_sector``), which the dynamics never
+    leave; ``probs`` is then filled in over the full space, each sector
+    state's probability shared equally among its configurations.  Other
+    diagonals are integrated on the full 2^n state vector.
+    """
     n = diag.n_qubits
     if n > MAX_QUBITS:
         raise IntegratorError(
             f"{n} qubits exceeds the {MAX_QUBITS}-qubit state-vector cap"
         )
     windows = schedule.windows or auto_windows(diag, driver, schedule.T)
-    psi = initial_state(n)
-    psi = _kernels.yoshida_sweep(
-        psi, diag.as_float(), n, driver.h0, schedule.T, windows,
-        use_numba=use_numba,
-    )
+    sector = ladder_sector(diag.layout, diag.on_grid)
+    if sector is None:
+        levels = diag.values
+        psi = _kernels.yoshida_sweep(
+            initial_state(n), diag.as_float(), n, driver.h0, schedule.T, windows
+        )
+    else:
+        levels = sector.diagonal
+        mult = sector.multiplicity()
+        psi0 = np.sqrt(mult / diag.dim).astype(np.complex128).reshape(levels.shape)
+        psi = _kernels.yoshida_sweep_sector(
+            psi0, levels.astype(np.float64), sector.ladder(),
+            driver.h0, schedule.T, windows,
+        ).reshape(-1)
     norm = float(np.linalg.norm(psi))
     drift = abs(1.0 - norm)
     if drift > NORM_DRIFT_BOUND:
@@ -134,11 +152,14 @@ def evolve(
             f"(T={schedule.T}, windows={windows})"
         )
     probs = (np.abs(psi) ** 2) / (norm * norm)
+    grouped = group_probabilities(levels, probs)
+    if sector is not None:
+        probs = (probs / mult)[sector.full_index()]
     return SweepResult(
         T=schedule.T,
         windows=windows,
         probs=probs,
-        grouped=group_probabilities(diag, probs),
+        grouped=grouped,
         norm_drift=drift,
     )
 
@@ -155,7 +176,6 @@ def sweep_scan(
     encoding: QuditEncoding,
     T_list,
     driver: DriverSpec = DriverSpec(),
-    use_numba: bool = True,
 ) -> list[ScanEntry]:
     """One sweep per duration in T_list on the instance's input (bad)
     basis; per-T integrator failures are recorded without aborting the
@@ -167,7 +187,7 @@ def sweep_scan(
     entries: list[ScanEntry] = []
     for T in T_list:
         try:
-            res = evolve(diag, driver, SweepSchedule(T=float(T)), use_numba=use_numba)
+            res = evolve(diag, driver, SweepSchedule(T=float(T)))
             entries.append(ScanEntry(T=float(T), result=res))
         except IntegratorError as exc:
             entries.append(ScanEntry(T=float(T), result=None, error=str(exc)))

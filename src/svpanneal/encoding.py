@@ -28,7 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import GramMatrix
+from .lattice import GramMatrix, ResourceLimitError
+
+# int64 headroom for exact energies, as in lattice.brute_force_svp
+_INT64_BOUND = 2 ** 62
 
 
 class EncodingError(ValueError):
@@ -345,51 +348,63 @@ def _broadcast_shape(n_qudits: int, j: int, size: int) -> list[int]:
     return [size if ax == n_qudits - 1 - j else 1 for ax in range(n_qudits)]
 
 
-def problem_diagonal_ints(model: IsingModel) -> np.ndarray:
+def problem_diagonal_ints(model: IsingModel, local=None) -> np.ndarray:
     """Energy of every configuration, evaluated from the compiled
     coefficients; exact int64 (coefficients are quarter-integers, so four
     times everything is integral).
 
     Works per qudit and per qudit pair on small local tables, then lifts
-    them onto the full configuration grid by broadcasting.
+    them onto the full configuration grid by broadcasting.  ``local``
+    restricts every qudit to those local configurations (default: all 2^m);
+    the result then covers their product grid, flat with qudit 0 as the
+    least significant digit.  Raises ResourceLimitError before allocating
+    if a partial sum could overflow.
     """
     enc = model.layout.encoding
     n_dim = model.layout.n_qudits
     m = enc.qubits_per_qudit
 
     def x4(v: Fraction) -> int:
-        q = v * 4
-        if q.denominator != 1:
+        q, r = divmod(4 * v.numerator, v.denominator)
+        if r:
             raise EncodingError("coefficient is not a quarter-integer")
-        return int(q)
+        return q
 
-    local = np.arange(1 << m, dtype=np.int64)
-    spins = 1 - 2 * ((local[:, None] >> np.arange(m)[None, :]) & 1)  # (2^m, m)
+    off4 = x4(model.offset)
+    h4 = [x4(v) for v in model.h]
+    couplings4 = [(i, j, x4(v)) for i, j, v in model.couplings]
+    # each spin product is +-1, so this bounds every partial sum of the
+    # int64 grid built below
+    bound = abs(off4) + sum(map(abs, h4)) + sum(abs(v) for _, _, v in couplings4)
+    if bound >= _INT64_BOUND:
+        raise ResourceLimitError("coefficients too large for exact int64 energies")
 
-    h4 = np.zeros((n_dim, m), dtype=np.int64)
-    for j in range(n_dim):
-        for p in range(m):
-            h4[j, p] = x4(model.h[j * m + p])
+    local = np.arange(1 << m) if local is None else local
+    local = np.asarray(local, dtype=np.int64)
+    size = local.size
+    spins = 1 - 2 * ((local[:, None] >> np.arange(m)[None, :]) & 1)  # (size, m)
+
+    h4 = np.array(h4, dtype=np.int64).reshape(n_dim, m)
     intra4 = np.zeros((n_dim, m, m), dtype=np.int64)
     inter4 = {}
-    for i, j, v in model.couplings:
+    for i, j, v in couplings4:
         qi, pi = divmod(i, m)
         qj, pj = divmod(j, m)
         if qi == qj:
-            intra4[qi, pi, pj] = x4(v)
+            intra4[qi, pi, pj] = v
         else:
-            inter4.setdefault((qi, qj), np.zeros((m, m), dtype=np.int64))[pi, pj] = x4(v)
+            inter4.setdefault((qi, qj), np.zeros((m, m), dtype=np.int64))[pi, pj] = v
 
-    total = np.full([1 << m] * n_dim, x4(model.offset), dtype=np.int64)
+    total = np.full([size] * n_dim, off4, dtype=np.int64)
     for j in range(n_dim):
         t = spins @ h4[j]
         t += np.einsum("cp,pq,cq->c", spins, intra4[j], spins)
-        total = total + t.reshape(_broadcast_shape(n_dim, j, 1 << m))
+        total = total + t.reshape(_broadcast_shape(n_dim, j, size))
     for (qi, qj), mat in inter4.items():
         t = spins @ mat @ spins.T  # [qi local, qj local]
         # qudit qj sits on the earlier grid axis, so its local index must
         # come first when reshaping
-        shape = [1 << m if ax in (n_dim - 1 - qi, n_dim - 1 - qj) else 1
+        shape = [size if ax in (n_dim - 1 - qi, n_dim - 1 - qj) else 1
                  for ax in range(n_dim)]
         total = total + t.T.reshape(shape)
     flat = total.reshape(-1)
@@ -401,9 +416,15 @@ def problem_diagonal_ints(model: IsingModel) -> np.ndarray:
 def exhaustive_length_table(gram: GramMatrix, encoding: QuditEncoding) -> np.ndarray:
     """Squared length of the decoded vector for every configuration,
     evaluated directly from the qudit value maps and the Gram form (no
-    compiled coefficients involved); exact int64."""
+    compiled coefficients involved); exact int64.  Raises
+    ResourceLimitError before allocating if the quadratic form could
+    overflow."""
     n_dim = gram.dim
     m = encoding.qubits_per_qudit
+    max_abs = max(-encoding.lo, encoding.hi)
+    max_g = max(abs(v) for row in gram.entries for v in row)
+    if (n_dim * max_abs) ** 2 * max_g >= _INT64_BOUND:
+        raise ResourceLimitError("coefficient range too large for exact int64 energies")
     vals = encoding.local_values()
     g = gram.as_array()
     total = np.zeros([1 << m] * n_dim, dtype=np.int64)

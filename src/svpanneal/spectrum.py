@@ -8,21 +8,28 @@ path) or in tests.
 
 For Hamming-encoded problems the sweep Hamiltonian commutes with qubit
 permutations inside each qudit column, and the initial state (uniform
-superposition) lies in the fully symmetric sector.  ``sector_gap_scan``
-therefore computes gap profiles in that sector, where each qudit reduces to
-an (m+1)-level ladder; this is the gap that controls the sweep dynamics and
+superposition) lies in the fully symmetric sector, where each qudit reduces
+to an (m+1)-level ladder (``ladder_sector``).  ``sector_gap_scan`` computes
+gap profiles there; this is the gap that controls the sweep dynamics and
 stays open at s=1 even though the full-space ground level is degenerate
-there.
+there.  ``dynamics.evolve`` integrates Hamming sweeps in the same sector.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .encoding import IsingModel, QuditEncoding, compile_ising, problem_diagonal_ints
+from .encoding import (
+    IsingModel,
+    QuditEncoding,
+    QuditLayout,
+    compile_ising,
+    problem_diagonal_ints,
+)
 from .lattice import GramMatrix
 
 
@@ -46,9 +53,11 @@ class DriverSpec:
 @dataclass(frozen=True)
 class ProblemDiagonal:
     """Eigenvalues of the problem Hamiltonian per computational basis state
-    (exact integers for integer lattices)."""
+    (exact integers for integer lattices), with the qudit layout of the
+    compiled model when it is known."""
 
     values: np.ndarray  # int64, length 2^n
+    layout: QuditLayout | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.int64)
@@ -58,6 +67,9 @@ class ProblemDiagonal:
             raise ValueError("diagonal length must be a power of two")
         if v.min() < 0:
             raise ValueError("problem energies must be non-negative")
+        lay = self.layout
+        if lay is not None and lay.n_qudits * lay.encoding.qubits_per_qudit != n:
+            raise ValueError("layout qubit count does not match the diagonal")
 
     @property
     def n_qubits(self) -> int:
@@ -76,7 +88,83 @@ class ProblemDiagonal:
 
     @classmethod
     def from_model(cls, model: IsingModel) -> "ProblemDiagonal":
-        return cls(problem_diagonal_ints(model))
+        return cls(problem_diagonal_ints(model), model.layout)
+
+    def on_grid(self, local: np.ndarray) -> np.ndarray:
+        """Energies on the product grid of the local configurations
+        ``local`` of every qudit, as ``problem_diagonal_ints(model, local)``
+        evaluates them."""
+        m = self.layout.encoding.qubits_per_qudit
+        digits = [local << (j * m) for j in reversed(range(self.layout.n_qudits))]
+        return self.values[reduce(np.add.outer, digits)].reshape(-1)
+
+
+@dataclass(frozen=True)
+class LadderSector:
+    """Fully symmetric sector of a Hamming-encoded problem.
+
+    Each qudit column of m qubits reduces to an (m+1)-level ladder of
+    symmetric (Dicke) states indexed by the column's Hamming weight w, the
+    number of its spins at -1 (qudit value m/2 - w).  ``diagonal`` holds the
+    exact problem energy of every ladder tuple, with qudit j on axis N-1-j
+    so that C-order flattening makes qudit 0 the least significant digit.
+    """
+
+    m: int
+    diagonal: np.ndarray  # int64, shape (m+1,) * N
+
+    @property
+    def n_qudits(self) -> int:
+        return self.diagonal.ndim
+
+    @property
+    def dim(self) -> int:
+        return self.diagonal.size
+
+    def ladder(self) -> np.ndarray:
+        """The collective transverse field sum_p sigma_x^p = 2 S_x of one
+        column, with elements sqrt((w+1)(m-w)) between weights w and w+1."""
+        w = np.arange(self.m)
+        amp = np.sqrt((w + 1.0) * (self.m - w))
+        return np.diag(amp, 1) + np.diag(amp, -1)
+
+    def multiplicity(self) -> np.ndarray:
+        """Full-space configurations per sector state, prod_j binomial(m,
+        w_j), flat."""
+        c = np.array([math.comb(self.m, w) for w in range(self.m + 1)], dtype=np.float64)
+        return reduce(np.multiply.outer, [c] * self.n_qudits).reshape(-1)
+
+    def full_index(self) -> np.ndarray:
+        """Flat sector index of every full-space configuration."""
+        m, d = self.m, self.m + 1
+        local = np.arange(1 << m)
+        weight = ((local[:, None] >> np.arange(m)[None, :]) & 1).sum(axis=1)
+        digits = [weight * d ** j for j in reversed(range(self.n_qudits))]
+        return reduce(np.add.outer, digits).reshape(-1)
+
+
+def ladder_sector(
+    layout: QuditLayout | None, energies: Callable[[np.ndarray], np.ndarray]
+) -> LadderSector | None:
+    """The symmetric sector of a problem with this layout if it is smaller
+    than the full space, else None.
+
+    The sector has one state per coefficient vector, encoding.n_values ** N
+    of them.  That is below 2^n exactly when the encoding is redundant
+    (Hamming); a bijective (binary) encoding or an unknown layout leaves
+    the full space.  ``energies(local)`` returns the compiled integer
+    energies on the product grid of the local configurations ``local``
+    (``problem_diagonal_ints`` or ``ProblemDiagonal.on_grid``); it is asked
+    for one representative configuration per ladder level, the lowest w
+    qubits of the column at spin -1, so sector energies stay exact.
+    """
+    if layout is None:
+        return None
+    m, n_dim = layout.encoding.qubits_per_qudit, layout.n_qudits
+    if layout.encoding.n_values ** n_dim >= 1 << (m * n_dim):
+        return None
+    rep = (1 << np.arange(m + 1, dtype=np.int64)) - 1
+    return LadderSector(m, energies(rep).reshape([m + 1] * n_dim))
 
 
 def apply_driver(psi: np.ndarray, n: int) -> np.ndarray:
@@ -155,6 +243,8 @@ def low_spectrum(
         return np.sort(diag.as_float())[:m]
     if dim <= dense_cutoff:
         return np.linalg.eigvalsh(dense_hamiltonian(diag, driver, s))[:m]
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     dvals = diag.as_float()
     n = diag.n_qubits
     h0 = driver.h0
@@ -226,17 +316,14 @@ def gap_scan(
     """
     sgrid = _grid(grid)
 
-    def pair(s: float, v0=None) -> tuple[float, float]:
+    def pair(s: float) -> tuple[float, float]:
         if s == 1.0:
             lv = np.unique(diag.values)
             return float(lv[0]), float(lv[1] if lv.size > 1 else lv[0])
-        e = low_spectrum(diag, driver, s, m=2, dense_cutoff=dense_cutoff, v0=v0)
+        e = low_spectrum(diag, driver, s, m=2, dense_cutoff=dense_cutoff)
         return float(e[0]), float(e[1])
 
-    try:
-        pairs = [pair(float(s)) for s in sgrid]
-    except SpectrumError:
-        raise
+    pairs = [pair(float(s)) for s in sgrid]
     e0 = np.array([p[0] for p in pairs])
     e1 = np.array([p[1] for p in pairs])
 
@@ -272,51 +359,33 @@ def sector_hamiltonian_parts(
     """(driver matrix, problem diagonal) of the sweep Hamiltonian restricted
     to the dynamically relevant sector.
 
-    Hamming: the fully symmetric sector; each qudit becomes an (m+1)-level
-    ladder |v>, v = -m/2..m/2, with the collective transverse field acting
-    as twice the spin-m/2 ladder operator Sx.  Binary: the encoding is
-    bijective, so the sector is the full space and the driver couples
-    single bit flips.
+    Hamming: the fully symmetric sector (``ladder_sector``); the driver is
+    -h0 times the sum over qudits of each column's ladder 2 S_x.  Binary:
+    the encoding is bijective, so the sector is the full space and the
+    driver couples single bit flips.
     """
-    n_dim = gram.dim
-    g = gram.as_array().astype(np.float64)
-    if encoding.family == "hamming":
-        m = encoding.qubits_per_qudit
-        spin = m / 2.0
-        vals = np.arange(-m // 2, m // 2 + 1, dtype=np.float64)
-        d = m + 1
-        ladder = np.zeros((d, d))
-        for i, v in enumerate(vals[:-1]):
-            amp = math.sqrt(spin * (spin + 1) - v * (v + 1))
-            ladder[i + 1, i] = amp
-            ladder[i, i + 1] = amp
-        dim = d ** n_dim
+    model = compile_ising(gram, encoding)
+    sector = ladder_sector(model.layout, partial(problem_diagonal_ints, model))
+    if sector is None:
+        pd = ProblemDiagonal.from_model(model)
+        n = pd.n_qubits
+        dim = pd.dim
         drv = np.zeros((dim, dim))
-        eye = np.eye(d)
-        for j in range(n_dim):
-            op = np.ones((1, 1))
-            # qudit 0 on the last kron factor = least significant digit
-            for jj in range(n_dim - 1, -1, -1):
-                op = np.kron(op, ladder if jj == j else eye)
-            drv -= driver.h0 * op
-        diag = np.zeros([d] * n_dim)
-        for i in range(n_dim):
-            xi = vals.reshape([d if ax == n_dim - 1 - i else 1 for ax in range(n_dim)])
-            for j in range(n_dim):
-                xj = vals.reshape(
-                    [d if ax == n_dim - 1 - j else 1 for ax in range(n_dim)]
-                )
-                diag = diag + g[i, j] * xi * xj
-        return drv, diag.reshape(-1)
-    # binary: full space
-    pd = ProblemDiagonal.from_model(compile_ising(gram, encoding))
-    n = pd.n_qubits
-    dim = pd.dim
-    drv = np.zeros((dim, dim))
-    idx = np.arange(dim)
-    for b in range(n):
-        drv[idx, idx ^ (1 << b)] = -driver.h0
-    return drv, pd.as_float()
+        idx = np.arange(dim)
+        for b in range(n):
+            drv[idx, idx ^ (1 << b)] = -driver.h0
+        return drv, pd.as_float()
+    ladder = sector.ladder()
+    eye = np.eye(sector.m + 1)
+    n_dim = sector.n_qudits
+    drv = np.zeros((sector.dim, sector.dim))
+    for j in range(n_dim):
+        op = np.ones((1, 1))
+        # qudit 0 on the last kron factor = least significant digit
+        for jj in range(n_dim - 1, -1, -1):
+            op = np.kron(op, ladder if jj == j else eye)
+        drv -= driver.h0 * op
+    return drv, sector.diagonal.reshape(-1).astype(np.float64)
 
 
 def sector_gap_scan(

@@ -81,14 +81,6 @@ class TestEvolve:
             )
             assert np.abs(base.probs - fine.probs).max() < 1e-6
 
-    def test_numba_and_numpy_paths_agree(self):
-        _, _, diag = tiny_problem()
-        drv = sa.DriverSpec(1.0)
-        sched = sa.SweepSchedule(T=8.0)
-        a = sa.evolve(diag, drv, sched, use_numba=True)
-        b = sa.evolve(diag, drv, sched, use_numba=False)
-        assert np.abs(a.probs - b.probs).max() < 1e-12
-
     def test_qubit_cap(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_QUBITS", 2)
         _, _, diag = tiny_problem()
@@ -102,6 +94,62 @@ class TestEvolve:
         assert res.p_zero == res.grouped[0]
         assert res.p_lambda1 == res.grouped[levels[0]]
         assert res.p_second == res.grouped[levels[1]]
+
+
+def hamming_3d(seed=0):
+    inst = sa.generate_instance(3, seed)
+    enc = sa.QuditEncoding.hamming(rng=(-2, 2))
+    return sa.ProblemDiagonal.from_model(sa.compile_ising(sa.gram(inst.bad), enc))
+
+
+class TestSectorPath:
+    """Hamming sweeps run in the (m+1)^N symmetric sector; the full-space
+    propagator (taken by a diagonal without a layout) is the reference."""
+
+    @pytest.mark.parametrize("problem", ["hamming-2d-k1", "hamming-3d-r2"])
+    @pytest.mark.parametrize("T", [0.5, 4.0, 32.0])
+    def test_matches_full_space(self, problem, T):
+        diag = (tiny_problem(family="hamming")[2] if problem == "hamming-2d-k1"
+                else hamming_3d())
+        assert diag.layout is not None
+        drv = sa.DriverSpec(1.0)
+        sched = sa.SweepSchedule(T=T)
+        sector = sa.evolve(diag, drv, sched)
+        full = sa.evolve(sa.ProblemDiagonal(diag.values), drv, sched)
+        assert sector.windows == full.windows
+        assert sector.grouped.keys() == full.grouped.keys()
+        for level, p in full.grouped.items():
+            assert abs(sector.grouped[level] - p) < 1e-10
+        assert sector.probs.shape == full.probs.shape
+        assert np.abs(sector.probs - full.probs).max() < 1e-10
+        assert sector.norm_drift < dynamics.NORM_DRIFT_BOUND
+
+    def test_hamming_takes_sector_path(self, monkeypatch):
+        def no_full_space(*args):
+            raise AssertionError("full-space propagator called")
+
+        monkeypatch.setattr(dynamics._kernels, "yoshida_sweep", no_full_space)
+        _, _, diag = tiny_problem(family="hamming")
+        res = sa.evolve(diag, sa.DriverSpec(), sa.SweepSchedule(T=2.0))
+        assert sum(res.grouped.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["no-layout", "binary"])
+    def test_full_space_path_kept(self, case, monkeypatch):
+        def no_sector(*args):
+            raise AssertionError("sector propagator called")
+
+        monkeypatch.setattr(dynamics._kernels, "yoshida_sweep_sector", no_sector)
+        family = "hamming" if case == "no-layout" else "binary"
+        _, _, diag = tiny_problem(family=family)
+        if case == "no-layout":
+            diag = sa.ProblemDiagonal(diag.values)
+        res = sa.evolve(diag, sa.DriverSpec(), sa.SweepSchedule(T=2.0))
+        assert res.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_layout_must_match_diagonal(self):
+        _, _, diag = tiny_problem(family="hamming")
+        with pytest.raises(ValueError):
+            sa.ProblemDiagonal(diag.values[:8], diag.layout)
 
 
 class TestSweepScan:

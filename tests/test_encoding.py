@@ -164,6 +164,33 @@ class TestCompile:
                 assert model.energy(cfg) == expect
 
 
+class TestOverflowGuard:
+    @staticmethod
+    def huge(exponent):
+        return sa.GramMatrix(((2 ** exponent, 1, 0), (1, 2, 0), (0, 0, 1)))
+
+    def test_compiled_diagonal_refuses(self):
+        # 4 * energy sums six intra-qudit terms of 2^61: without the guard
+        # this wraps silently
+        model = sa.compile_ising(self.huge(60), sa.QuditEncoding.hamming(rng=(-2, 2)))
+        with pytest.raises(sa.ResourceLimitError):
+            sa.problem_diagonal_ints(model)
+
+    @pytest.mark.parametrize("enc", [sa.QuditEncoding.hamming(rng=(-2, 2)),
+                                     sa.QuditEncoding.binary(k=1)])
+    def test_length_table_refuses(self, enc):
+        # G_00 * 2^2 = 2^63 wraps silently without the guard
+        with pytest.raises(sa.ResourceLimitError):
+            sa.exhaustive_length_table(self.huge(61), enc)
+
+    def test_large_but_safe_gram_is_exact(self):
+        g = sa.GramMatrix(((2 ** 40, 1), (1, 2 ** 40 + 3)))
+        enc = sa.QuditEncoding.hamming(k=1)  # values in [-2, 2]
+        compiled = sa.problem_diagonal_ints(sa.compile_ising(g, enc))
+        assert np.array_equal(compiled, sa.exhaustive_length_table(g, enc))
+        assert compiled.max() == g.length_sq((2, 2))
+
+
 class TestDecode:
     def test_binary_all_plus_endpoint(self):
         g = sa.gram(sa.Basis(((1, 0), (0, 1))))

@@ -1,9 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 import svpanneal as sa
+from svpanneal import spectrum
 from svpanneal.spectrum import SpectrumError, _transverse_levels
 
 from oracles import dense_sweep_hamiltonian
@@ -191,6 +193,19 @@ class TestSectorScan:
             assert sec[0] == pytest.approx(full[0], abs=1e-9)  # shared ground
             for v in sec:
                 assert np.min(np.abs(full - v)) < 1e-8
+
+    def test_sector_energies_from_model_and_diagonal_agree(self):
+        g = sa.gram(sa.generate_instance(3, 4).bad)
+        model = sa.compile_ising(g, sa.QuditEncoding.hamming(rng=(-2, 2)))
+        diag = sa.ProblemDiagonal.from_model(model)
+        sector = spectrum.ladder_sector(model.layout,
+                                        partial(sa.problem_diagonal_ints, model))
+        assert np.array_equal(sector.diagonal,
+                              spectrum.ladder_sector(diag.layout, diag.on_grid).diagonal)
+        # qudit j sits on axis N-1-j; weight w is the value 2 - w
+        w = (1, 4, 0)
+        assert sector.diagonal[w[2], w[1], w[0]] == g.length_sq([2 - x for x in w])
+        assert np.array_equal(sector.diagonal.reshape(-1)[sector.full_index()], diag.values)
 
     def test_binary_sector_is_full_space(self):
         inst = sa.generate_instance(2, 3)
