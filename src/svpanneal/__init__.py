@@ -7,7 +7,6 @@ from .dynamics import (
     SweepResult,
     SweepSchedule,
     evolve,
-    initial_state,
     sweep_scan,
 )
 from .emulator import (

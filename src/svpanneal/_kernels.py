@@ -1,9 +1,9 @@
 """Hot loops for the sweep propagator and the annealing sampler.
 
-The sweep propagators are vectorized numpy: one on the full 2^n state
-vector, one on a tensor product of small ladders (the symmetric sector of a
-Hamming problem).  The sampler is compiled with numba when available; its
-fallback is a plain loop with exactly the same arithmetic.
+The sweep propagator is vectorized numpy on a tensor product of small
+per-qudit local spaces (``spectrum.QuditSector``).  The sampler is compiled
+with numba when available; its fallback is a plain loop with exactly the
+same arithmetic.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ except ImportError:  # pragma: no cover
 # fourth-order step
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
-# phase factors the sector propagator tabulates at once (1 MiB per table)
+# phase factors the propagator tabulates at once (1 MiB per table)
 _PHASE_BLOCK = 1 << 16
 
 
@@ -39,26 +39,6 @@ def _substeps(h0, T, windows):
     return theta, sub * s_frac
 
 
-def _mix_all_bits_np(psi: np.ndarray, n: int, c: float, s: float) -> np.ndarray:
-    dim = psi.shape[0]
-    for b in range(n):
-        view = psi.reshape(dim >> (b + 1), 2, 1 << b)
-        flipped = view[:, ::-1, :].copy()
-        psi = (c * view + 1j * s * flipped).reshape(dim)
-    return psi
-
-
-def yoshida_sweep(psi, diag, n, h0, T, windows):
-    """Propagate the full 2^n state psi through the linear sweep with
-    `windows` fourth-order splitting steps; returns the final state."""
-    for theta, phi in zip(*_substeps(h0, T, windows)):
-        c, s = np.cos(theta), np.sin(theta)
-        psi = _mix_all_bits_np(psi, n, c, s)
-        psi = psi * np.exp(-1j * phi * diag)
-        psi = _mix_all_bits_np(psi, n, c, s)
-    return psi
-
-
 def _each_axis(x: np.ndarray, mat: np.ndarray, shapes) -> np.ndarray:
     """Apply the real d x d matrix along every axis of the flat complex
     tensor x, one broadcast matmul per axis on the interleaved real view;
@@ -69,21 +49,22 @@ def _each_axis(x: np.ndarray, mat: np.ndarray, shapes) -> np.ndarray:
     return r.reshape(-1).view(np.complex128)
 
 
-def yoshida_sweep_sector(psi, diag, ladder, h0, T, windows):
-    """The same splitting as ``yoshida_sweep`` on a tensor product of
-    ladders: psi (complex) and diag have shape (d,) * N, one axis per
-    ladder, and every ladder's transverse field is the real symmetric d x d
-    matrix ``ladder``.
+def yoshida_sweep_sector(psi, diag, local, h0, T, windows):
+    """Propagate psi through the linear sweep with `windows` fourth-order
+    splitting steps on a tensor product of local spaces; returns the final
+    state.  psi (complex) and diag have shape (d,) * N, one axis per qudit,
+    and every qudit's transverse field is the real symmetric d x d matrix
+    ``local``.
 
-    The state stays in the ladder eigenbasis, where the driver is diagonal,
-    so adjacent driver half-steps merge into one phase; each problem step
-    rotates to the ladder basis and back.
+    The state stays in the eigenbasis of ``local``, where the driver is
+    diagonal, so adjacent driver half-steps merge into one phase; each
+    problem step rotates to the computational basis and back.
     """
     n_axes = diag.ndim
     diag = diag.reshape(-1)
-    d = ladder.shape[0]
+    d = local.shape[0]
     shapes = [(d ** a, d, -1) for a in range(n_axes)]
-    lam, vec = np.linalg.eigh(ladder)
+    lam, vec = np.linalg.eigh(local)
     lam_all = reduce(np.add.outer, [lam] * n_axes).reshape(-1)
     theta, phi = _substeps(h0, T, windows)
     # driver angle before each problem step, then the closing half-step

@@ -5,12 +5,12 @@ time-dependent Schroedinger equation for the linear sweep, and reports the
 final measurement distribution grouped by squared lattice-vector length.
 
 The propagator is a fourth-order splitting: both factors (diagonal phase and
-single-qubit driver rotations) are applied exactly, so every step is unitary
+per-qudit driver rotations) are applied exactly, so every step is unitary
 and norm drift is limited to float roundoff.  The default window count
 scales with T * (max problem energy + h0 * n), which bounds the phase
-advanced per window.  Hamming problems are integrated in the symmetric
-sector, (m+1)^N ladder states instead of 2^n amplitudes, with the same
-splitting and window count.
+advanced per window.  Every problem is integrated in its qudit sector
+(``spectrum.qudit_sector``): (m+1)^N ladder states for a Hamming problem,
+one 2^q-level axis per qudit (the full space) for a binary one.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .encoding import QuditEncoding, compile_ising
 from .lattice import Basis, Instance, gram
-from .spectrum import DriverSpec, ProblemDiagonal, ladder_sector
+from .spectrum import DriverSpec, ProblemDiagonal, qudit_sector
 
 # radians of worst-case phase advanced per splitting window at the default
 # resolution, plus a per-unit-time floor so short low-energy sweeps stay
@@ -63,15 +63,6 @@ def auto_windows(diag: ProblemDiagonal, driver: DriverSpec, T: float,
         math.ceil(T * scale / phase_per_window),
         math.ceil(T * WINDOWS_PER_TIME),
     )
-
-
-def initial_state(n_qubits: int) -> np.ndarray:
-    """Ground state of the transverse-field driver: uniform real
-    amplitudes."""
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    dim = 1 << n_qubits
-    return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -118,11 +109,11 @@ def evolve(
     """Integrate the sweep and return final outcome probabilities grouped
     by squared length.
 
-    A Hamming problem (a diagonal with a redundant layout) is integrated in
-    its symmetric sector (``ladder_sector``), which the dynamics never
-    leave; ``probs`` is then filled in over the full space, each sector
-    state's probability shared equally among its configurations.  Other
-    diagonals are integrated on the full 2^n state vector.
+    The sweep runs in the problem's qudit sector (``qudit_sector``), which
+    the dynamics never leave; ``probs`` is then filled in over the full
+    space, each sector state's probability shared equally among its
+    configurations.  A diagonal without a layout is read as n one-qubit
+    qudits.
     """
     n = diag.n_qubits
     if n > MAX_QUBITS:
@@ -130,20 +121,13 @@ def evolve(
             f"{n} qubits exceeds the {MAX_QUBITS}-qubit state-vector cap"
         )
     windows = schedule.windows or auto_windows(diag, driver, schedule.T)
-    sector = ladder_sector(diag.layout, diag.on_grid)
-    if sector is None:
-        levels = diag.values
-        psi = _kernels.yoshida_sweep(
-            initial_state(n), diag.as_float(), n, driver.h0, schedule.T, windows
-        )
-    else:
-        levels = sector.diagonal
-        mult = sector.multiplicity()
-        psi0 = np.sqrt(mult / diag.dim).astype(np.complex128).reshape(levels.shape)
-        psi = _kernels.yoshida_sweep_sector(
-            psi0, levels.astype(np.float64), sector.ladder(),
-            driver.h0, schedule.T, windows,
-        ).reshape(-1)
+    sector = qudit_sector(diag.qudit_layout, diag.on_grid)
+    mult = sector.multiplicity()
+    psi0 = np.sqrt(mult / diag.dim).astype(np.complex128)
+    psi = _kernels.yoshida_sweep_sector(
+        psi0.reshape(sector.diagonal.shape), sector.diagonal.astype(np.float64),
+        sector.driver(), driver.h0, schedule.T, windows,
+    ).reshape(-1)
     norm = float(np.linalg.norm(psi))
     drift = abs(1.0 - norm)
     if drift > NORM_DRIFT_BOUND:
@@ -152,9 +136,8 @@ def evolve(
             f"(T={schedule.T}, windows={windows})"
         )
     probs = (np.abs(psi) ** 2) / (norm * norm)
-    grouped = group_probabilities(levels, probs)
-    if sector is not None:
-        probs = (probs / mult)[sector.full_index()]
+    grouped = group_probabilities(sector.diagonal, probs)
+    probs = (probs / mult)[sector.full_index()]
     return SweepResult(
         T=schedule.T,
         windows=windows,

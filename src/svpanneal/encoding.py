@@ -159,8 +159,22 @@ def redundancy(encoding: QuditEncoding, value: int) -> int:
 
 @dataclass(frozen=True)
 class QuditLayout:
+    """Qubits of each qudit column.  Qudit j must be qubits j*m .. j*m+m-1:
+    the energy grids (``problem_diagonal_ints``) and the sweep sector index
+    configurations that way, so any other layout is rejected rather than
+    misread."""
+
     encoding: QuditEncoding
     qudits: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        m = self.encoding.qubits_per_qudit
+        for j, qudit in enumerate(self.qudits):
+            if tuple(qudit) != tuple(range(j * m, (j + 1) * m)):
+                raise EncodingError(
+                    f"qudit {j} must be qubits {j * m}..{(j + 1) * m - 1}, "
+                    f"got {list(qudit)}"
+                )
 
     @property
     def n_qudits(self) -> int:

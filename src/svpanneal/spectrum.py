@@ -6,13 +6,16 @@ sum over single-bit-flip neighbours; H_P is the compiled diagonal.  The full
 2^n x 2^n matrix is only materialized for small dimensions (dense eigensolver
 path) or in tests.
 
-For Hamming-encoded problems the sweep Hamiltonian commutes with qubit
-permutations inside each qudit column, and the initial state (uniform
+The sweep also lives in a product of small per-qudit spaces
+(``qudit_sector``).  A Hamming problem's sweep Hamiltonian commutes with
+qubit permutations inside each qudit column, and the initial state (uniform
 superposition) lies in the fully symmetric sector, where each qudit reduces
-to an (m+1)-level ladder (``ladder_sector``).  ``sector_gap_scan`` computes
-gap profiles there; this is the gap that controls the sweep dynamics and
-stays open at s=1 even though the full-space ground level is degenerate
-there.  ``dynamics.evolve`` integrates Hamming sweeps in the same sector.
+to an (m+1)-level ladder.  A binary qudit keeps all its 2^q configurations
+as levels, so its sector is the full space.  ``sector_gap_scan`` computes
+gap profiles in the sector; for Hamming this is the gap that controls the
+sweep dynamics and stays open at s=1 even though the full-space ground level
+is degenerate there.  ``dynamics.evolve`` integrates every sweep in the same
+sector.
 """
 from __future__ import annotations
 
@@ -63,8 +66,8 @@ class ProblemDiagonal:
         v = np.asarray(self.values, dtype=np.int64)
         object.__setattr__(self, "values", v)
         n = v.size.bit_length() - 1
-        if v.size != 1 << n:
-            raise ValueError("diagonal length must be a power of two")
+        if n < 1 or v.size != 1 << n:
+            raise ValueError("diagonal length must be a power of two >= 2")
         if v.min() < 0:
             raise ValueError("problem energies must be non-negative")
         lay = self.layout
@@ -90,28 +93,45 @@ class ProblemDiagonal:
     def from_model(cls, model: IsingModel) -> "ProblemDiagonal":
         return cls(problem_diagonal_ints(model), model.layout)
 
+    @property
+    def qudit_layout(self) -> QuditLayout:
+        """The layout, or n one-qubit binary qudits when it is unknown."""
+        if self.layout is not None:
+            return self.layout
+        return QuditLayout(
+            QuditEncoding.binary(k=0), tuple((q,) for q in range(self.n_qubits))
+        )
+
     def on_grid(self, local: np.ndarray) -> np.ndarray:
         """Energies on the product grid of the local configurations
         ``local`` of every qudit, as ``problem_diagonal_ints(model, local)``
         evaluates them."""
-        m = self.layout.encoding.qubits_per_qudit
-        digits = [local << (j * m) for j in reversed(range(self.layout.n_qudits))]
+        lay = self.qudit_layout
+        m = lay.encoding.qubits_per_qudit
+        digits = [local << (j * m) for j in reversed(range(lay.n_qudits))]
         return self.values[reduce(np.add.outer, digits)].reshape(-1)
 
 
 @dataclass(frozen=True)
-class LadderSector:
-    """Fully symmetric sector of a Hamming-encoded problem.
+class QuditSector:
+    """Product of per-qudit local spaces that contains the sweep.
 
-    Each qudit column of m qubits reduces to an (m+1)-level ladder of
-    symmetric (Dicke) states indexed by the column's Hamming weight w, the
-    number of its spins at -1 (qudit value m/2 - w).  ``diagonal`` holds the
-    exact problem energy of every ladder tuple, with qudit j on axis N-1-j
-    so that C-order flattening makes qudit 0 the least significant digit.
+    The 2^m local configurations of a qudit column are grouped into levels,
+    one per qudit value, numbered by their lowest configuration, and level
+    a stands for the normalised uniform superposition of its
+    configurations.  A Hamming column's levels are its Hamming weights w,
+    the number of its spins at -1 (value m/2 - w): an (m+1)-level ladder of
+    symmetric (Dicke) states, which the sweep Hamiltonian never leaves
+    because it commutes with qubit permutations inside a column.  A binary
+    column has one level per configuration, so the sector is the full space.
+    ``level`` holds the level of every local configuration and
+    ``diagonal`` the exact problem energy of every level tuple, with qudit
+    j on axis N-1-j so that C-order flattening makes qudit 0 the least
+    significant digit.
     """
 
-    m: int
-    diagonal: np.ndarray  # int64, shape (m+1,) * N
+    level: np.ndarray  # int, length 2^m
+    diagonal: np.ndarray  # int64, shape (d,) * N
 
     @property
     def n_qudits(self) -> int:
@@ -121,50 +141,52 @@ class LadderSector:
     def dim(self) -> int:
         return self.diagonal.size
 
-    def ladder(self) -> np.ndarray:
-        """The collective transverse field sum_p sigma_x^p = 2 S_x of one
-        column, with elements sqrt((w+1)(m-w)) between weights w and w+1."""
-        w = np.arange(self.m)
-        amp = np.sqrt((w + 1.0) * (self.m - w))
-        return np.diag(amp, 1) + np.diag(amp, -1)
+    def driver(self) -> np.ndarray:
+        """sum_p sigma_x^p of one qudit between its normalised levels: the
+        number of single flips linking levels a and b over sqrt(mult_a
+        mult_b).  That is 2 S_x, with elements sqrt((w+1)(m-w)), for a
+        Hamming ladder and the bit-flip matrix for a binary qudit; the
+        square root is taken of the ratio, an exact integer for both, so
+        the elements are correctly rounded."""
+        lv = self.level
+        d = self.diagonal.shape[0]
+        local = np.arange(lv.size)
+        flipped = lv[local[:, None] ^ (1 << np.arange(lv.size.bit_length() - 1))]
+        flips = np.bincount((lv[:, None] * d + flipped).reshape(-1), minlength=d * d)
+        mult = np.bincount(lv).astype(np.float64)
+        return np.sqrt(flips.reshape(d, d) ** 2.0 / np.multiply.outer(mult, mult))
 
     def multiplicity(self) -> np.ndarray:
-        """Full-space configurations per sector state, prod_j binomial(m,
-        w_j), flat."""
-        c = np.array([math.comb(self.m, w) for w in range(self.m + 1)], dtype=np.float64)
-        return reduce(np.multiply.outer, [c] * self.n_qudits).reshape(-1)
+        """Full-space configurations per sector state, prod_j mult(a_j),
+        flat."""
+        mult = np.bincount(self.level).astype(np.float64)
+        return reduce(np.multiply.outer, [mult] * self.n_qudits).reshape(-1)
 
     def full_index(self) -> np.ndarray:
         """Flat sector index of every full-space configuration."""
-        m, d = self.m, self.m + 1
-        local = np.arange(1 << m)
-        weight = ((local[:, None] >> np.arange(m)[None, :]) & 1).sum(axis=1)
-        digits = [weight * d ** j for j in reversed(range(self.n_qudits))]
+        d = self.diagonal.shape[0]
+        digits = [self.level * d ** j for j in reversed(range(self.n_qudits))]
         return reduce(np.add.outer, digits).reshape(-1)
 
 
-def ladder_sector(
-    layout: QuditLayout | None, energies: Callable[[np.ndarray], np.ndarray]
-) -> LadderSector | None:
-    """The symmetric sector of a problem with this layout if it is smaller
-    than the full space, else None.
+def qudit_sector(
+    layout: QuditLayout, energies: Callable[[np.ndarray], np.ndarray]
+) -> QuditSector:
+    """The sector of a problem with this layout.
 
-    The sector has one state per coefficient vector, encoding.n_values ** N
-    of them.  That is below 2^n exactly when the encoding is redundant
-    (Hamming); a bijective (binary) encoding or an unknown layout leaves
-    the full space.  ``energies(local)`` returns the compiled integer
-    energies on the product grid of the local configurations ``local``
+    ``energies(local)`` returns the compiled integer energies on the
+    product grid of the local configurations ``local``
     (``problem_diagonal_ints`` or ``ProblemDiagonal.on_grid``); it is asked
-    for one representative configuration per ladder level, the lowest w
-    qubits of the column at spin -1, so sector energies stay exact.
+    for each level's lowest configuration, so sector energies stay exact.
     """
-    if layout is None:
-        return None
-    m, n_dim = layout.encoding.qubits_per_qudit, layout.n_qudits
-    if layout.encoding.n_values ** n_dim >= 1 << (m * n_dim):
-        return None
-    rep = (1 << np.arange(m + 1, dtype=np.int64)) - 1
-    return LadderSector(m, energies(rep).reshape([m + 1] * n_dim))
+    # the lowest configuration with each configuration's value, then one
+    # level per such representative, in ascending order
+    _, first, inverse = np.unique(
+        layout.encoding.local_values(), return_index=True, return_inverse=True
+    )
+    rep, level = np.unique(first[inverse], return_inverse=True)
+    shape = [rep.size] * layout.n_qudits
+    return QuditSector(level, energies(rep).reshape(shape))
 
 
 def apply_driver(psi: np.ndarray, n: int) -> np.ndarray:
@@ -357,33 +379,22 @@ def sector_hamiltonian_parts(
     gram: GramMatrix, encoding: QuditEncoding, driver: DriverSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """(driver matrix, problem diagonal) of the sweep Hamiltonian restricted
-    to the dynamically relevant sector.
-
-    Hamming: the fully symmetric sector (``ladder_sector``); the driver is
-    -h0 times the sum over qudits of each column's ladder 2 S_x.  Binary:
-    the encoding is bijective, so the sector is the full space and the
-    driver couples single bit flips.
+    to the dynamically relevant sector (``qudit_sector``): the driver is -h0
+    times the sum over qudits of each qudit's local driver.  For a Hamming
+    problem that is the fully symmetric sector; for a binary one, the full
+    space with its single-bit-flip driver.
     """
     model = compile_ising(gram, encoding)
-    sector = ladder_sector(model.layout, partial(problem_diagonal_ints, model))
-    if sector is None:
-        pd = ProblemDiagonal.from_model(model)
-        n = pd.n_qubits
-        dim = pd.dim
-        drv = np.zeros((dim, dim))
-        idx = np.arange(dim)
-        for b in range(n):
-            drv[idx, idx ^ (1 << b)] = -driver.h0
-        return drv, pd.as_float()
-    ladder = sector.ladder()
-    eye = np.eye(sector.m + 1)
+    sector = qudit_sector(model.layout, partial(problem_diagonal_ints, model))
+    local = sector.driver()
+    eye = np.eye(local.shape[0])
     n_dim = sector.n_qudits
     drv = np.zeros((sector.dim, sector.dim))
     for j in range(n_dim):
         op = np.ones((1, 1))
         # qudit 0 on the last kron factor = least significant digit
         for jj in range(n_dim - 1, -1, -1):
-            op = np.kron(op, ladder if jj == j else eye)
+            op = np.kron(op, local if jj == j else eye)
         drv -= driver.h0 * op
     return drv, sector.diagonal.reshape(-1).astype(np.float64)
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -17,21 +15,6 @@ def tiny_problem(seed=5, family="binary"):
         sa.compile_ising(sa.gram(inst.bad), enc)
     )
     return inst, enc, diag
-
-
-class TestInitialState:
-    def test_one_qubit(self):
-        psi = sa.initial_state(1)
-        assert np.allclose(psi, [1 / math.sqrt(2)] * 2)
-
-    def test_two_qubits(self):
-        assert np.allclose(sa.initial_state(2), [0.5] * 4)
-
-    @pytest.mark.parametrize("n", [1, 4, 12, 20, 24])
-    def test_unit_norm(self, n):
-        psi = sa.initial_state(n)
-        assert abs(np.linalg.norm(psi) - 1.0) < 1e-15
-        del psi
 
 
 class TestEvolve:
@@ -96,21 +79,28 @@ class TestEvolve:
         assert res.p_second == res.grouped[levels[1]]
 
 
-def hamming_3d(seed=0):
+def problem_3d(enc, seed=0):
     inst = sa.generate_instance(3, seed)
-    enc = sa.QuditEncoding.hamming(rng=(-2, 2))
     return sa.ProblemDiagonal.from_model(sa.compile_ising(sa.gram(inst.bad), enc))
 
 
-class TestSectorPath:
-    """Hamming sweeps run in the (m+1)^N symmetric sector; the full-space
-    propagator (taken by a diagonal without a layout) is the reference."""
+SECTOR_PROBLEMS = {
+    "hamming-2d-k1": lambda: tiny_problem(family="hamming")[2],
+    "hamming-3d-r2": lambda: problem_3d(sa.QuditEncoding.hamming(rng=(-2, 2))),
+    "binary-3d-r4": lambda: problem_3d(sa.QuditEncoding.binary(k=2)),
+}
 
-    @pytest.mark.parametrize("problem", ["hamming-2d-k1", "hamming-3d-r2"])
+
+class TestSectorPath:
+    """Every sweep runs on a product of per-qudit local spaces: (m+1)-level
+    ladders for Hamming, one 2^q-level axis per binary qudit.  The same
+    values without a layout (n one-qubit axes) and a dense Runge-Kutta
+    integration are the references."""
+
+    @pytest.mark.parametrize("problem", list(SECTOR_PROBLEMS))
     @pytest.mark.parametrize("T", [0.5, 4.0, 32.0])
     def test_matches_full_space(self, problem, T):
-        diag = (tiny_problem(family="hamming")[2] if problem == "hamming-2d-k1"
-                else hamming_3d())
+        diag = SECTOR_PROBLEMS[problem]()
         assert diag.layout is not None
         drv = sa.DriverSpec(1.0)
         sched = sa.SweepSchedule(T=T)
@@ -124,32 +114,22 @@ class TestSectorPath:
         assert np.abs(sector.probs - full.probs).max() < 1e-10
         assert sector.norm_drift < dynamics.NORM_DRIFT_BOUND
 
-    def test_hamming_takes_sector_path(self, monkeypatch):
-        def no_full_space(*args):
-            raise AssertionError("full-space propagator called")
-
-        monkeypatch.setattr(dynamics._kernels, "yoshida_sweep", no_full_space)
-        _, _, diag = tiny_problem(family="hamming")
-        res = sa.evolve(diag, sa.DriverSpec(), sa.SweepSchedule(T=2.0))
-        assert sum(res.grouped.values()) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("case", ["no-layout", "binary"])
-    def test_full_space_path_kept(self, case, monkeypatch):
-        def no_sector(*args):
-            raise AssertionError("sector propagator called")
-
-        monkeypatch.setattr(dynamics._kernels, "yoshida_sweep_sector", no_sector)
-        family = "hamming" if case == "no-layout" else "binary"
+    @pytest.mark.parametrize("family", ["hamming", "binary"])
+    def test_matches_reference_integration(self, family):
         _, _, diag = tiny_problem(family=family)
-        if case == "no-layout":
-            diag = sa.ProblemDiagonal(diag.values)
-        res = sa.evolve(diag, sa.DriverSpec(), sa.SweepSchedule(T=2.0))
-        assert res.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        T = 2.0
+        res = sa.evolve(diag, sa.DriverSpec(1.0), sa.SweepSchedule(T=T))
+        psi_ref = reference_evolution(diag.values, 1.0, T, 10 * res.windows)
+        assert np.abs(res.probs - np.abs(psi_ref) ** 2).max() < 1e-6
 
     def test_layout_must_match_diagonal(self):
         _, _, diag = tiny_problem(family="hamming")
         with pytest.raises(ValueError):
             sa.ProblemDiagonal(diag.values[:8], diag.layout)
+
+    def test_needs_one_qubit(self):
+        with pytest.raises(ValueError):
+            sa.ProblemDiagonal(np.array([0]))
 
 
 class TestSweepScan:

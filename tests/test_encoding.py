@@ -273,6 +273,26 @@ class TestSerialization:
             payload = json.load(f)
         assert set(payload) == {"n_qubits", "offset", "h", "J", "layout"}
 
+    def test_permuted_layout_rejected_on_load(self):
+        # the same model with qubits 1 and 2 swapped throughout: energies
+        # and decoding agree, but the energy grids and the sweep sector
+        # assume contiguous qudits, so such a model used to sweep wrongly
+        model = sa.compile_ising(
+            sa.gram(sa.generate_instance(2, 3).bad), sa.QuditEncoding.hamming(rng=(-1, 1))
+        )
+        perm = [0, 2, 1, 3]
+        payload = model.to_json()
+        h = [None] * model.n_qubits
+        for i, v in enumerate(payload["h"]):
+            h[perm[i]] = v
+        payload["h"] = h
+        payload["J"] = sorted(
+            [min(perm[i], perm[j]), max(perm[i], perm[j]), v] for i, j, v in payload["J"]
+        )
+        payload["layout"]["qudits"] = [[0, 2], [1, 3]]
+        with pytest.raises(sa.EncodingError, match="qudit 0"):
+            sa.IsingModel.from_json(payload)
+
 
 class TestSpinConfig:
     def test_index_round_trip(self):

@@ -3,6 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import svpanneal as sa
 from svpanneal import spectrum
@@ -31,7 +32,7 @@ class TestApplyHamiltonian:
     def test_s0_uniform_is_driver_eigenstate(self):
         _, _, diag = small_problem()
         n = diag.n_qubits
-        psi = sa.initial_state(n)
+        psi = np.full(diag.dim, diag.dim ** -0.5, dtype=np.complex128)
         out = sa.apply_hamiltonian(diag, sa.DriverSpec(1.5), 0.0, psi)
         assert np.allclose(out, -1.5 * n * psi, atol=1e-12)
 
@@ -198,10 +199,10 @@ class TestSectorScan:
         g = sa.gram(sa.generate_instance(3, 4).bad)
         model = sa.compile_ising(g, sa.QuditEncoding.hamming(rng=(-2, 2)))
         diag = sa.ProblemDiagonal.from_model(model)
-        sector = spectrum.ladder_sector(model.layout,
-                                        partial(sa.problem_diagonal_ints, model))
+        sector = spectrum.qudit_sector(model.layout,
+                                       partial(sa.problem_diagonal_ints, model))
         assert np.array_equal(sector.diagonal,
-                              spectrum.ladder_sector(diag.layout, diag.on_grid).diagonal)
+                              spectrum.qudit_sector(diag.layout, diag.on_grid).diagonal)
         # qudit j sits on axis N-1-j; weight w is the value 2 - w
         w = (1, 4, 0)
         assert sector.diagonal[w[2], w[1], w[0]] == g.length_sq([2 - x for x in w])
@@ -227,3 +228,52 @@ class TestSectorScan:
         assert ham.e0[0] == pytest.approx(-n_ham, abs=1e-9)
         # final gap is the first excited problem level, not zero
         assert ham.gaps[-1] > 0.5
+
+
+# (encoding, lattice dimension) pairs of at most 8 qubits, both families
+SECTOR_SHAPES = [
+    (sa.QuditEncoding.hamming(rng=(-1, 1)), 2),
+    (sa.QuditEncoding.hamming(rng=(-1, 1)), 3),
+    (sa.QuditEncoding.hamming(rng=(-2, 2)), 2),
+    (sa.QuditEncoding.binary(k=0), 3),
+    (sa.QuditEncoding.binary(k=1), 2),
+    (sa.QuditEncoding.binary(k=1), 3),
+    (sa.QuditEncoding.binary(k=2), 2),
+]
+
+
+@st.composite
+def sector_problems(draw):
+    enc, n_dim = draw(st.sampled_from(SECTOR_SHAPES))
+    entries = st.integers(-3, 3)
+    b = np.array(draw(st.lists(st.lists(entries, min_size=n_dim, max_size=n_dim),
+                               min_size=n_dim, max_size=n_dim)))
+    return sa.GramMatrix((b @ b.T).tolist()), enc
+
+
+class TestSectorMap:
+    """The qudit sector against the full space on random Gram matrices
+    (singular ones included): the sector is invariant under the full sweep
+    Hamiltonian, and its restriction is the sector Hamiltonian."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(sector_problems())
+    def test_sector_is_exact_restriction(self, problem):
+        g, enc = problem
+        model = sa.compile_ising(g, enc)
+        diag = sa.ProblemDiagonal.from_model(model)
+        sector = spectrum.qudit_sector(model.layout,
+                                       partial(sa.problem_diagonal_ints, model))
+        index = sector.full_index()
+        assert np.array_equal(sector.diagonal.reshape(-1)[index], diag.values)
+        mult = sector.multiplicity()
+        assert mult.sum() == diag.dim
+        # columns: normalised uniform superpositions of each sector state
+        p = np.zeros((diag.dim, sector.dim))
+        p[np.arange(diag.dim), index] = mult[index] ** -0.5
+        drv, dg = spectrum.sector_hamiltonian_parts(g, enc, sa.DriverSpec(0.9))
+        for s in (0.0, 0.4, 1.0):
+            h_full = dense_sweep_hamiltonian(diag.values, 0.9, s)
+            h_sector = (1 - s) * drv + s * np.diag(dg)
+            assert np.allclose(p.T @ h_full @ p, h_sector, atol=1e-12)
+            assert np.allclose(h_full @ p, p @ h_sector, atol=1e-12)
