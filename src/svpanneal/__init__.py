@@ -72,10 +72,7 @@ from .spectrum import (
     GapProfile,
     ProblemDiagonal,
     SpectrumError,
-    apply_hamiltonian,
-    dense_hamiltonian,
     gap_scan,
-    low_spectrum,
     sector_gap_scan,
 )
 

@@ -1,9 +1,8 @@
 """Hot loops for the sweep propagator and the annealing sampler.
 
 The sweep propagator is vectorized numpy on a tensor product of small
-per-qudit local spaces (``spectrum.QuditSector``).  The sampler is compiled
-with numba when available; its fallback is a plain loop with exactly the
-same arithmetic.
+per-qudit local spaces (``spectrum.QuditSector``).  The sampler is a plain
+Python loop, one seeded anneal per read.
 """
 from __future__ import annotations
 
@@ -11,12 +10,8 @@ from functools import reduce
 
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
+# no kernel uses numba; perfbench/run.py records this flag as provenance
+HAVE_NUMBA = False
 
 # Yoshida composition: three symmetric second-order substeps give a
 # fourth-order step
@@ -85,7 +80,9 @@ def yoshida_sweep_sector(psi, diag, local, h0, T, windows):
     return _each_axis(x, vec, shapes).reshape(psi.shape)
 
 
-def _metropolis_py(nbr_ptr, nbr_idx, nbr_val, h, betas, reads, seeds):
+def metropolis_reads(nbr_ptr, nbr_idx, nbr_val, h, betas, reads, seeds):
+    """Temperature-scheduled single-spin-flip Metropolis; one independent
+    anneal per read, seeded per read."""
     n = h.size
     out = np.empty((reads, n), dtype=np.int8)
     for r in range(reads):
@@ -101,36 +98,3 @@ def _metropolis_py(nbr_ptr, nbr_idx, nbr_val, h, betas, reads, seeds):
                     s[i] = -s[i]
         out[r] = s
     return out
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _metropolis_nb(nbr_ptr, nbr_idx, nbr_val, h, betas, reads, seeds):
-        n = h.size
-        out = np.empty((reads, n), dtype=np.int8)
-        for r in range(reads):
-            np.random.seed(seeds[r])
-            s = np.empty(n, dtype=np.int8)
-            for i in range(n):
-                s[i] = 1 if np.random.random() < 0.5 else -1
-            for b in range(betas.size):
-                beta = betas[b]
-                for i in range(n):
-                    field = h[i]
-                    for t in range(nbr_ptr[i], nbr_ptr[i + 1]):
-                        field += nbr_val[t] * s[nbr_idx[t]]
-                    d_e = -2.0 * s[i] * field
-                    if d_e <= 0.0 or np.random.random() < np.exp(-beta * d_e):
-                        s[i] = -s[i]
-            out[r] = s
-        return out
-
-
-def metropolis_reads(nbr_ptr, nbr_idx, nbr_val, h, betas, reads, seeds,
-                     use_numba=True):
-    """Temperature-scheduled single-spin-flip Metropolis; one independent
-    anneal per read, seeded per read."""
-    if HAVE_NUMBA and use_numba:
-        return _metropolis_nb(nbr_ptr, nbr_idx, nbr_val, h, betas, reads, seeds)
-    return _metropolis_py(nbr_ptr, nbr_idx, nbr_val, h, betas, reads, seeds)

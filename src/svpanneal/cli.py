@@ -31,7 +31,7 @@ from .lattice import (
     minkowski_bound,
     qubit_budget,
 )
-from .spectrum import ProblemDiagonal, gap_scan, sector_gap_scan
+from .spectrum import ProblemDiagonal, gap_scan
 
 
 def _cmd_gen(args):
@@ -101,11 +101,7 @@ def _cmd_encode(args):
 def _cmd_gap_scan(args):
     model = IsingModel.load(args.model)
     driver = DriverSpec(h0=args.h0)
-    if args.sector:
-        g = _gram_from_model_or_instance(args)
-        prof = sector_gap_scan(g, model.layout.encoding, driver, grid=args.grid)
-    else:
-        prof = gap_scan(ProblemDiagonal.from_model(model), driver, grid=args.grid)
+    prof = gap_scan(ProblemDiagonal.from_model(model), driver, grid=args.grid)
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["s", "E0", "E1", "gap"])
@@ -113,13 +109,6 @@ def _cmd_gap_scan(args):
             w.writerow([f"{s:.8f}", f"{e0:.12g}", f"{e1:.12g}", f"{e1 - e0:.12g}"])
     s_star, g_star = prof.min_gap
     print(f"wrote {args.out}; min gap {g_star:.6g} at s={s_star:.4f}")
-
-
-def _gram_from_model_or_instance(args):
-    if not args.instance:
-        raise SystemExit("--sector needs --instance to rebuild the Gram matrix")
-    inst = Instance.load(args.instance)
-    return gram(inst.bad)
 
 
 def _cmd_simulate(args):
@@ -276,13 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_encode)
 
-    g = sub.add_parser("gap-scan", help="spectral gap along the sweep")
+    g = sub.add_parser(
+        "gap-scan",
+        help="spectral gap along the sweep in the model's qudit sector "
+             "(symmetric ladders for Hamming, the full space for binary)",
+    )
     g.add_argument("--model", required=True)
     g.add_argument("--grid", type=int, default=101)
     g.add_argument("--h0", type=float, default=1.0)
-    g.add_argument("--sector", action="store_true",
-                   help="scan the dynamically relevant symmetric sector")
-    g.add_argument("--instance", help="instance file (needed with --sector)")
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_gap_scan)
 

@@ -341,7 +341,6 @@ def sample(
     reads: int,
     seed: int,
     params: AnnealParams = AnnealParams(),
-    use_numba: bool = True,
 ) -> np.ndarray:
     """`reads` independent anneals; returns (reads, n_physical) +-1 spins,
     deterministic per seed."""
@@ -365,9 +364,7 @@ def sample(
             pos += 1
     betas = params.schedule(phys)
     seeds = np.random.SeedSequence(seed).generate_state(reads).astype(np.int64)
-    return _kernels.metropolis_reads(
-        ptr, idx, val, phys.h, betas, reads, seeds, use_numba=use_numba
-    )
+    return _kernels.metropolis_reads(ptr, idx, val, phys.h, betas, reads, seeds)
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,23 @@
-"""Matrix-free sweep Hamiltonian H(s) = (1-s) H_0 + s H_P and its low-lying
-spectrum along the sweep.
+"""Sweep Hamiltonian H(s) = (1-s) H_0 + s H_P and its gap profile along
+the sweep.
 
-H_0 is the transverse-field driver -h0 * sum_i sigma_x^i, whose action is a
-sum over single-bit-flip neighbours; H_P is the compiled diagonal.  The full
-2^n x 2^n matrix is only materialized for small dimensions (dense eigensolver
-path) or in tests.
+H_0 is the transverse-field driver -h0 * sum_i sigma_x^i and H_P the
+compiled problem diagonal.  Both dynamics and spectra work in a product of
+small per-qudit spaces (``qudit_sector``).  A Hamming problem's sweep
+Hamiltonian commutes with qubit permutations inside each qudit column, and
+the initial state (uniform superposition) lies in the fully symmetric
+sector, where each qudit reduces to an (m+1)-level ladder.  A binary qudit
+keeps all its 2^q configurations as levels, so its sector is the full
+space.  The sector gap is the one that controls the sweep: for Hamming it
+stays open at s=1 even though the full-space ground level is degenerate
+there.  ``dynamics.evolve`` integrates every sweep in the same sector.
 
-The sweep also lives in a product of small per-qudit spaces
-(``qudit_sector``).  A Hamming problem's sweep Hamiltonian commutes with
-qubit permutations inside each qudit column, and the initial state (uniform
-superposition) lies in the fully symmetric sector, where each qudit reduces
-to an (m+1)-level ladder.  A binary qudit keeps all its 2^q configurations
-as levels, so its sector is the full space.  ``sector_gap_scan`` computes
-gap profiles in the sector; for Hamming this is the gap that controls the
-sweep dynamics and stays open at s=1 even though the full-space ground level
-is degenerate there.  ``dynamics.evolve`` integrates every sweep in the same
-sector.
+Gap profiles come from one dense solver: ``eigvalsh`` of the sector
+Hamiltonian at every grid point.  A sector larger than ``MAX_SECTOR_DIM``
+states is refused before any d x d matrix is allocated.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -33,15 +31,18 @@ from .encoding import (
     compile_ising,
     problem_diagonal_ints,
 )
-from .lattice import GramMatrix
+from .lattice import GramMatrix, ResourceLimitError
 
 
 class SpectrumError(RuntimeError):
-    pass
+    """Eigensolver failure.  The dense scan never raises it; it stays in the
+    public API because callers catch it."""
 
 
-DENSE_CUTOFF = 1 << 10
-_EIGSH_SEED = 987654321
+# largest sector the dense scan accepts: at the cap each of the three d x d
+# float64 matrices it holds (driver, H(s), eigvalsh's work copy) takes
+# 512 MiB, and eigvalsh costs O(d^3) at every grid point
+MAX_SECTOR_DIM = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,6 @@ class ProblemDiagonal:
     @property
     def dim(self) -> int:
         return self.values.size
-
-    def as_float(self) -> np.ndarray:
-        return self.values.astype(np.float64)
 
     def levels(self) -> np.ndarray:
         """Distinct energies, ascending."""
@@ -189,110 +187,6 @@ def qudit_sector(
     return QuditSector(level, energies(rep).reshape(shape))
 
 
-def apply_driver(psi: np.ndarray, n: int) -> np.ndarray:
-    """Sum of psi over all single-bit-flip neighbours (the -1/h0 part of
-    H_0 psi), computed without materializing any matrix."""
-    dim = psi.shape[0]
-    out = np.zeros_like(psi)
-    for b in range(n):
-        out += psi.reshape(dim >> (b + 1), 2, 1 << b)[:, ::-1, :].reshape(dim)
-    return out
-
-
-def apply_hamiltonian(
-    diag: ProblemDiagonal, driver: DriverSpec, s: float, psi: np.ndarray
-) -> np.ndarray:
-    """H(s) psi for the linear sweep Hamiltonian."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("normalized time must lie in [0, 1]")
-    if psi.shape[0] != diag.dim:
-        raise ValueError("state vector length mismatch")
-    out = s * (diag.as_float() * psi)
-    if s < 1.0:
-        out -= driver.h0 * (1.0 - s) * apply_driver(psi, diag.n_qubits)
-    return out
-
-
-def dense_hamiltonian(diag: ProblemDiagonal, driver: DriverSpec, s: float) -> np.ndarray:
-    """Explicit H(s); for tests and the dense eigensolver path only."""
-    dim = diag.dim
-    n = diag.n_qubits
-    hmat = np.diag(s * diag.as_float())
-    off = -driver.h0 * (1.0 - s)
-    idx = np.arange(dim)
-    for b in range(n):
-        hmat[idx, idx ^ (1 << b)] += off
-    return hmat
-
-
-def _transverse_levels(n: int, h0: float, m: int) -> np.ndarray:
-    """m lowest eigenvalues of the bare driver: -h0*(n-2w), multiplicity
-    binomial(n, w)."""
-    out: list[float] = []
-    w = 0
-    while len(out) < m and w <= n:
-        out.extend([-h0 * (n - 2 * w)] * math.comb(n, w))
-        w += 1
-    return np.array(out[:m])
-
-
-def low_spectrum(
-    diag: ProblemDiagonal,
-    driver: DriverSpec,
-    s: float,
-    m: int = 2,
-    dense_cutoff: int = DENSE_CUTOFF,
-    tol: float = 1e-10,
-    maxiter: int | None = None,
-    v0: np.ndarray | None = None,
-) -> np.ndarray:
-    """m smallest eigenvalues of H(s), ascending.
-
-    Endpoints use closed forms (driver ladder at s=0, sorted diagonal at
-    s=1; note the s=1 values are the raw, ungrouped spectrum, which is
-    degenerate for redundant encodings).  Interior points use a dense
-    solver up to ``dense_cutoff`` dimensions and a Krylov solver with a
-    seeded deterministic start vector above.
-    """
-    if m < 1:
-        raise ValueError("need at least one eigenvalue")
-    dim = diag.dim
-    if m > dim:
-        raise ValueError("more eigenvalues requested than the dimension")
-    if s == 0.0:
-        return _transverse_levels(diag.n_qubits, driver.h0, m)
-    if s == 1.0:
-        return np.sort(diag.as_float())[:m]
-    if dim <= dense_cutoff:
-        return np.linalg.eigvalsh(dense_hamiltonian(diag, driver, s))[:m]
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    dvals = diag.as_float()
-    n = diag.n_qubits
-    h0 = driver.h0
-
-    def mv(psi):
-        out = s * (dvals * psi)
-        out -= h0 * (1.0 - s) * apply_driver(psi, n)
-        return out
-
-    op = LinearOperator((dim, dim), matvec=mv, dtype=np.float64)
-    if v0 is None:
-        v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(dim)
-    try:
-        vals = eigsh(
-            op, k=m, which="SA", v0=v0, tol=tol,
-            maxiter=maxiter, return_eigenvectors=False,
-        )
-    except ArpackNoConvergence as exc:
-        got = np.sort(exc.eigenvalues) if exc.eigenvalues is not None else []
-        raise SpectrumError(
-            f"eigensolver did not converge at s={s}: "
-            f"{len(got)} of {m} eigenvalues converged"
-        ) from exc
-    return np.sort(vals)
-
-
 @dataclass(frozen=True)
 class GapProfile:
     s_grid: np.ndarray
@@ -322,70 +216,14 @@ def _grid(points) -> np.ndarray:
     return g
 
 
-def gap_scan(
-    diag: ProblemDiagonal,
-    driver: DriverSpec,
-    grid: int | np.ndarray = 33,
-    dense_cutoff: int = DENSE_CUTOFF,
-    refine: int = 0,
-) -> GapProfile:
-    """E0 and E1 of H(s) over a uniform s grid including both endpoints.
-
-    At s=1 the reported E1 is the first distinct level above the ground
-    energy (degeneracy grouping applies at the diagonal endpoint); interior
-    points report the raw sorted spectrum.  ``refine`` adds that many
-    rounds of local bisection around the grid minimum.
-    """
-    sgrid = _grid(grid)
-
-    def pair(s: float) -> tuple[float, float]:
-        if s == 1.0:
-            lv = np.unique(diag.values)
-            return float(lv[0]), float(lv[1] if lv.size > 1 else lv[0])
-        e = low_spectrum(diag, driver, s, m=2, dense_cutoff=dense_cutoff)
-        return float(e[0]), float(e[1])
-
-    pairs = [pair(float(s)) for s in sgrid]
-    e0 = np.array([p[0] for p in pairs])
-    e1 = np.array([p[1] for p in pairs])
-
-    if refine:
-        s_lo, s_hi, s_mid = _bracket(sgrid, e1 - e0)
-        svals = list(sgrid)
-        for _ in range(refine):
-            for s_new in ((s_lo + s_mid) / 2, (s_mid + s_hi) / 2):
-                if 0.0 < s_new < 1.0 and s_new not in svals:
-                    svals.append(s_new)
-                    pairs.append(pair(s_new))
-            order = np.argsort(svals)
-            svals = [svals[i] for i in order]
-            pairs = [pairs[i] for i in order]
-            gnew = np.array([p[1] - p[0] for p in pairs])
-            s_lo, s_hi, s_mid = _bracket(np.array(svals), gnew)
-        sgrid = np.array(svals)
-        e0 = np.array([p[0] for p in pairs])
-        e1 = np.array([p[1] for p in pairs])
-    return GapProfile(s_grid=sgrid, e0=e0, e1=e1)
-
-
-def _bracket(sgrid, gaps):
-    i = int(np.argmin(gaps))
-    lo = sgrid[max(i - 1, 0)]
-    hi = sgrid[min(i + 1, len(sgrid) - 1)]
-    return float(lo), float(hi), float(sgrid[i])
 
 
 def sector_hamiltonian_parts(
-    gram: GramMatrix, encoding: QuditEncoding, driver: DriverSpec
+    sector: QuditSector, driver: DriverSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """(driver matrix, problem diagonal) of the sweep Hamiltonian restricted
-    to the dynamically relevant sector (``qudit_sector``): the driver is -h0
-    times the sum over qudits of each qudit's local driver.  For a Hamming
-    problem that is the fully symmetric sector; for a binary one, the full
-    space with its single-bit-flip driver.
-    """
-    model = compile_ising(gram, encoding)
-    sector = qudit_sector(model.layout, partial(problem_diagonal_ints, model))
+    to the sector: the driver is -h0 times the sum over qudits of each
+    qudit's local driver."""
     local = sector.driver()
     eye = np.eye(local.shape[0])
     n_dim = sector.n_qudits
@@ -399,20 +237,44 @@ def sector_hamiltonian_parts(
     return drv, sector.diagonal.reshape(-1).astype(np.float64)
 
 
+def _scan(sector: QuditSector, driver: DriverSpec, grid) -> GapProfile:
+    sgrid = _grid(grid)
+    d = sector.dim
+    if d > MAX_SECTOR_DIM:
+        raise ResourceLimitError(
+            f"sector dimension {d} exceeds the dense-scan cap {MAX_SECTOR_DIM}: "
+            f"the scan would hold three {d} x {d} float64 matrices of "
+            f"{8 * d * d} bytes ({8 * d * d / 2**30:.1f} GiB) each"
+        )
+    drv, dg = sector_hamiltonian_parts(sector, driver)
+    e0 = np.empty(sgrid.size)
+    e1 = np.empty(sgrid.size)
+    h = np.empty_like(drv)
+    for i, s in enumerate(sgrid):
+        np.multiply(drv, 1.0 - s, out=h)
+        h.flat[:: d + 1] += s * dg
+        vals = np.linalg.eigvalsh(h)
+        e0[i], e1[i] = vals[0], vals[1]
+    return GapProfile(s_grid=sgrid, e0=e0, e1=e1)
+
+
+def gap_scan(
+    diag: ProblemDiagonal, driver: DriverSpec, grid: int | np.ndarray = 33
+) -> GapProfile:
+    """E0 and E1 of H(s) in the problem's qudit sector (the one
+    ``dynamics.evolve`` integrates) over an s grid from 0 to 1; a diagonal
+    without a layout is read as n one-qubit qudits."""
+    return _scan(qudit_sector(diag.qudit_layout, diag.on_grid), driver, grid)
+
+
 def sector_gap_scan(
     gram: GramMatrix,
     encoding: QuditEncoding,
     driver: DriverSpec,
     grid: int | np.ndarray = 33,
 ) -> GapProfile:
-    """Gap profile E1(s) - E0(s) in the dynamically relevant sector (dense
-    diagonalization; sector dimensions are small)."""
-    drv, dg = sector_hamiltonian_parts(gram, encoding, driver)
-    sgrid = _grid(grid)
-    e0 = np.empty(sgrid.size)
-    e1 = np.empty(sgrid.size)
-    dmat = np.diag(dg)
-    for i, s in enumerate(sgrid):
-        vals = np.linalg.eigvalsh((1.0 - s) * drv + s * dmat)
-        e0[i], e1[i] = vals[0], vals[1]
-    return GapProfile(s_grid=sgrid, e0=e0, e1=e1)
+    """``gap_scan`` of the compiled lattice problem, with the sector energies
+    evaluated from the model so that the 2^n diagonal is never built."""
+    model = compile_ising(gram, encoding)
+    sector = qudit_sector(model.layout, partial(problem_diagonal_ints, model))
+    return _scan(sector, driver, grid)

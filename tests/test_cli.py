@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -84,11 +85,25 @@ def test_gap_scan_sector(tmp_path, instance_file, capsys):
     run(["encode", "--in", instance_file, "--encoding", "ham",
          "--k", 0, "--out", model_path])
     out = tmp_path / "sector.csv"
-    run(["gap-scan", "--model", model_path, "--grid", 9, "--sector",
-         "--instance", instance_file, "--out", out])
+    run(["gap-scan", "--model", model_path, "--grid", 9, "--out", out])
     with open(out) as f:
         rows = list(csv.reader(f))
     assert len(rows) == 10
+    inst = sa.Instance.load(instance_file)
+    prof = sa.sector_gap_scan(sa.gram(inst.bad), sa.QuditEncoding.hamming(k=0),
+                              sa.DriverSpec(), grid=9)
+    assert min(float(r[3]) for r in rows[1:]) == pytest.approx(
+        prof.min_gap[1], abs=1e-9)
+
+
+def test_gap_scan_refuses_oversized_sector(tmp_path, instance_file):
+    model_path = tmp_path / "bin16.json"
+    run(["encode", "--in", instance_file, "--encoding", "bin",
+         "--range=-16:15", "--out", model_path])
+    t0 = time.perf_counter()
+    with pytest.raises(sa.ResourceLimitError, match="32768"):
+        run(["gap-scan", "--model", model_path, "--out", tmp_path / "x.csv"])
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_simulate_results(tmp_path, model_file, instance_file, capsys):

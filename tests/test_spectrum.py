@@ -1,4 +1,4 @@
-import math
+import time
 from functools import partial
 
 import numpy as np
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 import svpanneal as sa
 from svpanneal import spectrum
-from svpanneal.spectrum import SpectrumError, _transverse_levels
 
 from oracles import dense_sweep_hamiltonian
 
@@ -19,111 +18,6 @@ def small_problem(seed=5, family="binary"):
            else sa.QuditEncoding.hamming(k=1))
     model = sa.compile_ising(g, enc)
     return g, enc, sa.ProblemDiagonal.from_model(model)
-
-
-class TestApplyHamiltonian:
-    def test_s1_is_pure_diagonal(self):
-        _, _, diag = small_problem()
-        rng = np.random.default_rng(0)
-        psi = rng.standard_normal(diag.dim) + 1j * rng.standard_normal(diag.dim)
-        out = sa.apply_hamiltonian(diag, sa.DriverSpec(2.0), 1.0, psi)
-        assert np.allclose(out, diag.as_float() * psi, atol=1e-14)
-
-    def test_s0_uniform_is_driver_eigenstate(self):
-        _, _, diag = small_problem()
-        n = diag.n_qubits
-        psi = np.full(diag.dim, diag.dim ** -0.5, dtype=np.complex128)
-        out = sa.apply_hamiltonian(diag, sa.DriverSpec(1.5), 0.0, psi)
-        assert np.allclose(out, -1.5 * n * psi, atol=1e-12)
-
-    def test_hermitian_on_random_vectors(self):
-        _, _, diag = small_problem()
-        rng = np.random.default_rng(7)
-        drv = sa.DriverSpec(0.8)
-        for s in (0.1, 0.5, 0.93):
-            phi = rng.standard_normal(diag.dim) + 1j * rng.standard_normal(diag.dim)
-            psi = rng.standard_normal(diag.dim) + 1j * rng.standard_normal(diag.dim)
-            lhs = np.vdot(phi, sa.apply_hamiltonian(diag, drv, s, psi))
-            rhs = np.conj(np.vdot(psi, sa.apply_hamiltonian(diag, drv, s, phi)))
-            assert abs(lhs - rhs) < 1e-10
-
-    def test_matches_dense_up_to_ten_qubits(self):
-        for seed, family in [(3, "binary"), (4, "hamming")]:
-            inst = sa.generate_instance(2, seed)
-            enc = (sa.QuditEncoding.binary(k=1) if family == "binary"
-                   else sa.QuditEncoding.hamming(rng=(-2, 2)))
-            diag = sa.ProblemDiagonal.from_model(
-                sa.compile_ising(sa.gram(inst.bad), enc)
-            )
-            drv = sa.DriverSpec(1.1)
-            rng = np.random.default_rng(seed)
-            psi = rng.standard_normal(diag.dim)
-            for s in (0.0, 0.3, 0.7, 1.0):
-                dense = dense_sweep_hamiltonian(diag.values, 1.1, s)
-                assert np.allclose(
-                    sa.apply_hamiltonian(diag, drv, s, psi.astype(complex)),
-                    dense @ psi,
-                    atol=1e-12,
-                )
-
-    def test_length_mismatch(self):
-        _, _, diag = small_problem()
-        with pytest.raises(ValueError):
-            sa.apply_hamiltonian(diag, sa.DriverSpec(), 0.5, np.ones(3))
-
-
-class TestLowSpectrum:
-    def test_s0_closed_form(self):
-        _, _, diag = small_problem()
-        n = diag.n_qubits
-        vals = sa.low_spectrum(diag, sa.DriverSpec(1.0), 0.0, m=3)
-        assert vals[0] == pytest.approx(-n)
-        assert vals[1] == pytest.approx(-(n - 2))
-        assert vals[1] - vals[0] == pytest.approx(2.0)
-
-    def test_s0_multiplicities(self):
-        lv = _transverse_levels(4, 1.0, 16)
-        expect = sorted(
-            [-4.0] * 1 + [-2.0] * 4 + [0.0] * 6 + [2.0] * 4 + [4.0] * 1
-        )
-        assert np.allclose(lv, expect)
-
-    def test_s1_diagonal_endpoint_binary(self):
-        _, _, diag = small_problem(family="binary")
-        vals = sa.low_spectrum(diag, sa.DriverSpec(), 1.0, m=2)
-        levels = diag.levels()
-        assert vals[0] == 0.0
-        assert vals[1] == float(levels[1])  # bijective encoding
-
-    def test_dense_vs_krylov(self):
-        inst = sa.generate_instance(3, 1)
-        diag = sa.ProblemDiagonal.from_model(
-            sa.compile_ising(sa.gram(inst.bad), sa.QuditEncoding.binary(k=2))
-        )
-        drv = sa.DriverSpec(1.0)
-        for s in (0.2, 0.5, 0.8):
-            dense = sa.low_spectrum(diag, drv, s, m=2, dense_cutoff=1 << 12)
-            kry = sa.low_spectrum(diag, drv, s, m=2, dense_cutoff=4)
-            assert np.allclose(dense, kry, atol=1e-8)
-
-    def test_spectrum_matches_full_dense_diagonalization(self):
-        _, _, diag = small_problem(seed=2)
-        drv = sa.DriverSpec(0.7)
-        for s in (0.25, 0.6):
-            dense = dense_sweep_hamiltonian(diag.values, 0.7, s)
-            expect = np.sort(np.linalg.eigvalsh(dense))[:4]
-            got = sa.low_spectrum(diag, drv, s, m=4)
-            assert np.allclose(got, expect, atol=1e-10)
-
-    def test_nonconvergence_raises(self):
-        inst = sa.generate_instance(3, 1)
-        diag = sa.ProblemDiagonal.from_model(
-            sa.compile_ising(sa.gram(inst.bad), sa.QuditEncoding.binary(k=2))
-        )
-        with pytest.raises(SpectrumError):
-            sa.low_spectrum(
-                diag, sa.DriverSpec(), 0.5, m=2, dense_cutoff=4, maxiter=1
-            )
 
 
 class TestGapScan:
@@ -139,13 +33,13 @@ class TestGapScan:
         assert np.allclose(prof.gaps, expect, atol=1e-9)
 
     def test_endpoints_match_low_spectrum(self):
+        # binary: the sector is the full space, so the endpoint gaps are
+        # those of the two lowest full-space levels
         _, _, diag = small_problem(family="binary")
-        drv = sa.DriverSpec(1.0)
-        prof = sa.gap_scan(diag, drv, grid=5)
-        e0 = sa.low_spectrum(diag, drv, 0.0, m=2)
-        e1 = sa.low_spectrum(diag, drv, 1.0, m=2)
-        assert prof.gaps[0] == pytest.approx(e0[1] - e0[0])
-        assert prof.gaps[-1] == pytest.approx(e1[1] - e1[0])
+        prof = sa.gap_scan(diag, sa.DriverSpec(1.0), grid=5)
+        for i, s in ((0, 0.0), (-1, 1.0)):
+            full = np.linalg.eigvalsh(dense_sweep_hamiltonian(diag.values, 1.0, s))
+            assert prof.gaps[i] == pytest.approx(full[1] - full[0], abs=1e-9)
 
     def test_grid_validation(self):
         _, _, diag = small_problem()
@@ -159,13 +53,6 @@ class TestGapScan:
         fine = sa.gap_scan(diag, drv, grid=33).min_gap[1]
         assert fine <= coarse + 1e-12
 
-    def test_refinement_improves_bracket(self):
-        _, _, diag = small_problem(seed=6)
-        drv = sa.DriverSpec(1.0)
-        base = sa.gap_scan(diag, drv, grid=9)
-        refined = sa.gap_scan(diag, drv, grid=9, refine=3)
-        assert refined.min_gap[1] <= base.min_gap[1] + 1e-12
-
     def test_s1_grouping_exact_integers(self):
         inst = sa.generate_instance(3, 0)
         g = sa.gram(inst.bad)
@@ -177,6 +64,58 @@ class TestGapScan:
         assert prof.e1[-1] == float(levels[1])
         assert float(prof.e1[-1]).is_integer()
 
+    def test_layoutless_matches_full_space(self):
+        # without a layout the sector is the full space, even for Hamming
+        # values, whose full-space ground level is degenerate at s=1
+        for family in ("binary", "hamming"):
+            _, _, diag = small_problem(seed=2, family=family)
+            bare = sa.ProblemDiagonal(diag.values)
+            prof = sa.gap_scan(bare, sa.DriverSpec(0.7), grid=9)
+            for s, e0, e1 in zip(prof.s_grid, prof.e0, prof.e1):
+                full = np.linalg.eigvalsh(dense_sweep_hamiltonian(diag.values, 0.7, s))
+                assert e0 == pytest.approx(full[0], abs=1e-9)
+                assert e1 == pytest.approx(full[1], abs=1e-9)
+
+    def test_hamming_gap_is_the_sector_gap(self):
+        # the full-space gap closes near s=1 as the degenerate zero-vector
+        # manifold splits (3.2e-4 at s=0.96875 on this instance); the
+        # sector the sweep stays in keeps it open
+        g = sa.gram(sa.generate_instance(2, 0).bad)
+        model = sa.compile_ising(g, sa.QuditEncoding.hamming(rng=(-2, 2)))
+        prof = sa.gap_scan(sa.ProblemDiagonal.from_model(model), sa.DriverSpec())
+        assert prof.min_gap[1] > 0.1
+
+    def test_oversized_sector_refused_before_allocating(self):
+        g = sa.gram(sa.generate_instance(3, 0).bad)
+        model = sa.compile_ising(g, sa.QuditEncoding.binary(rng=(-16, 15)))
+        diag = sa.ProblemDiagonal.from_model(model)
+        t0 = time.perf_counter()
+        with pytest.raises(sa.ResourceLimitError, match="32768"):
+            sa.gap_scan(diag, sa.DriverSpec())
+        assert time.perf_counter() - t0 < 0.5
+
+
+class TestLowSpectrum:
+    """The two lowest sweep levels at s=0 and s=1, as gap_scan reports them."""
+
+    def test_s0_closed_form(self):
+        # s=0: the driver ladder, ground -h0 n, first excited -h0 (n-2)
+        h0 = 1.3
+        for family in ("binary", "hamming"):
+            _, _, diag = small_problem(family=family)
+            n = diag.n_qubits
+            prof = sa.gap_scan(diag, sa.DriverSpec(h0), grid=5)
+            assert prof.e0[0] == pytest.approx(-h0 * n, abs=1e-12)
+            assert prof.e1[0] == pytest.approx(-h0 * (n - 2), abs=1e-12)
+            assert prof.gaps[0] == pytest.approx(2 * h0, abs=1e-12)
+
+    def test_s1_diagonal_endpoint_binary(self):
+        # s=1: the zero vector, then the first nonzero level, exactly
+        _, _, diag = small_problem(family="binary")
+        prof = sa.gap_scan(diag, sa.DriverSpec(), grid=5)
+        assert prof.e0[-1] == 0.0
+        assert prof.e1[-1] == float(diag.levels()[1])  # bijective encoding
+
 
 class TestSectorScan:
     def test_sector_eigenvalues_are_full_space_eigenvalues(self):
@@ -184,16 +123,19 @@ class TestSectorScan:
         g = sa.gram(inst.bad)
         enc = sa.QuditEncoding.hamming(k=1)
         drv = sa.DriverSpec(1.0)
-        from svpanneal.spectrum import sector_hamiltonian_parts
-
-        sec_drv, sec_diag = sector_hamiltonian_parts(g, enc, drv)
         diag = sa.ProblemDiagonal.from_model(sa.compile_ising(g, enc))
-        for s in (0.0, 0.35, 0.8, 1.0):
+        sector = spectrum.qudit_sector(diag.layout, diag.on_grid)
+        sec_drv, sec_diag = spectrum.sector_hamiltonian_parts(sector, drv)
+        grid = (0.0, 0.35, 0.8, 1.0)
+        prof = sa.gap_scan(diag, drv, grid=np.array(grid))
+        for i, s in enumerate(grid):
             sec = np.linalg.eigvalsh((1 - s) * sec_drv + s * np.diag(sec_diag))
             full = np.linalg.eigvalsh(dense_sweep_hamiltonian(diag.values, 1.0, s))
             assert sec[0] == pytest.approx(full[0], abs=1e-9)  # shared ground
             for v in sec:
                 assert np.min(np.abs(full - v)) < 1e-8
+            assert prof.e0[i] == pytest.approx(full[0], abs=1e-9)
+            assert np.min(np.abs(full - prof.e1[i])) < 1e-8
 
     def test_sector_energies_from_model_and_diagonal_agree(self):
         g = sa.gram(sa.generate_instance(3, 4).bad)
@@ -207,6 +149,12 @@ class TestSectorScan:
         w = (1, 4, 0)
         assert sector.diagonal[w[2], w[1], w[0]] == g.length_sq([2 - x for x in w])
         assert np.array_equal(sector.diagonal.reshape(-1)[sector.full_index()], diag.values)
+        # so the scan of the diagonal is the scan of the model, bit for bit
+        drv = sa.DriverSpec(0.9)
+        from_diag = sa.gap_scan(diag, drv, grid=9)
+        from_model = sa.sector_gap_scan(g, model.layout.encoding, drv, grid=9)
+        assert np.array_equal(from_diag.e0, from_model.e0)
+        assert np.array_equal(from_diag.e1, from_model.e1)
 
     def test_binary_sector_is_full_space(self):
         inst = sa.generate_instance(2, 3)
@@ -215,8 +163,13 @@ class TestSectorScan:
         drv = sa.DriverSpec(1.0)
         prof_sector = sa.sector_gap_scan(g, enc, drv, grid=9)
         diag = sa.ProblemDiagonal.from_model(sa.compile_ising(g, enc))
-        prof_full = sa.gap_scan(diag, drv, grid=9)
-        assert np.allclose(prof_sector.gaps, prof_full.gaps, atol=1e-9)
+        prof = sa.gap_scan(diag, drv, grid=9)
+        assert np.array_equal(prof_sector.e0, prof.e0)
+        assert np.array_equal(prof_sector.e1, prof.e1)
+        for s, e0, e1 in zip(prof.s_grid, prof.e0, prof.e1):
+            full = np.linalg.eigvalsh(dense_sweep_hamiltonian(diag.values, 1.0, s))
+            assert e0 == pytest.approx(full[0], abs=1e-9)
+            assert e1 == pytest.approx(full[1], abs=1e-9)
 
     def test_sector_endpoints(self):
         inst = sa.generate_instance(3, 1)
@@ -271,7 +224,7 @@ class TestSectorMap:
         # columns: normalised uniform superpositions of each sector state
         p = np.zeros((diag.dim, sector.dim))
         p[np.arange(diag.dim), index] = mult[index] ** -0.5
-        drv, dg = spectrum.sector_hamiltonian_parts(g, enc, sa.DriverSpec(0.9))
+        drv, dg = spectrum.sector_hamiltonian_parts(sector, sa.DriverSpec(0.9))
         for s in (0.0, 0.4, 1.0):
             h_full = dense_sweep_hamiltonian(diag.values, 0.9, s)
             h_sector = (1 - s) * drv + s * np.diag(dg)
