@@ -1,7 +1,7 @@
 """Hot loops for the sweep propagator and the annealing sampler.
 
 The sweep propagator is vectorized numpy on a tensor product of small
-per-qudit local spaces (``spectrum.QuditSector``).  The sampler is a plain
+per-qudit local spaces (the qudit sector of ``spectrum.ProblemDiagonal``).  The sampler is a plain
 Python loop, one seeded anneal per read.
 """
 from __future__ import annotations

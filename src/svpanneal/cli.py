@@ -112,11 +112,12 @@ def _cmd_gap_scan(args):
 
 
 def _cmd_simulate(args):
+    T_list = parse_T_list(args.T)
     model = IsingModel.load(args.model)
     diag = ProblemDiagonal.from_model(model)
     driver = DriverSpec(h0=args.h0)
     runs = []
-    for T in parse_T_list(args.T):
+    for T in T_list:
         res = evolve(diag, driver, SweepSchedule(T=T))
         runs.append(
             {
@@ -176,11 +177,14 @@ def _cmd_emulate(args):
     )
 
 
-def _load_outcome(payload):
+def _load_outcome(payload, path):
+    """The sample set, or the grouped distribution of a sweep file's last
+    run, the last T of its sweep list."""
     if payload["kind"] == "sample-results":
         return emulator.SampleSet.from_json(payload)
-    return {int(k): float(v) for run in payload["runs"][-1:]
-            for k, v in run["grouped"].items()}
+    if not payload["runs"]:
+        raise SystemExit(f"{path}: sweep file has no runs to score")
+    return {int(k): float(v) for k, v in payload["runs"][-1]["grouped"].items()}
 
 
 def _cmd_analyze(args):
@@ -200,7 +204,7 @@ def _cmd_analyze(args):
         oracle = brute_force_svp(
             Basis(hnf(inst.bad).rows), auto_box(inst.bad)
         )
-        outcome = _load_outcome(payload)
+        outcome = _load_outcome(payload, path)
         probs = experiments.figures_of_merit(outcome, inst.bad, oracle)
         records.append(
             experiments.InstanceRecord(
@@ -298,7 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_emulate)
 
-    g = sub.add_parser("analyze", help="figures of merit over a results directory")
+    g = sub.add_parser(
+        "analyze",
+        help="figures of merit over a results directory; a sweep file is "
+             "scored on its last T",
+    )
     g.add_argument("--in", required=True)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_analyze)

@@ -8,9 +8,14 @@ The propagator is a fourth-order splitting: both factors (diagonal phase and
 per-qudit driver rotations) are applied exactly, so every step is unitary
 and norm drift is limited to float roundoff.  The default window count
 scales with T * (max problem energy + h0 * n), which bounds the phase
-advanced per window.  Every problem is integrated in its qudit sector
-(``spectrum.qudit_sector``): (m+1)^N ladder states for a Hamming problem,
-one 2^q-level axis per qudit (the full space) for a binary one.
+advanced per window, n being the real qubit count.  Every problem is
+integrated on its one representation, the qudit sector of
+``spectrum.ProblemDiagonal``: (m+1)^N ladder states for a Hamming problem,
+one 2^q-level axis per qudit (the full space) for a binary one.  The final
+distribution ``SweepResult.probs`` lives on that sector, aligned with
+``diag.values``; the sector size is capped once, by
+``spectrum.MAX_STATES`` in ``ProblemDiagonal.from_model``, before anything
+is allocated.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .encoding import QuditEncoding, compile_ising
 from .lattice import Basis, Instance, gram
-from .spectrum import DriverSpec, ProblemDiagonal, qudit_sector
+from .spectrum import DriverSpec, ProblemDiagonal
 
 # radians of worst-case phase advanced per splitting window at the default
 # resolution, plus a per-unit-time floor so short low-energy sweeps stay
@@ -32,7 +37,6 @@ PHASE_PER_WINDOW = 8.0
 WINDOWS_PER_TIME = 32.0
 MIN_WINDOWS = 8
 NORM_DRIFT_BOUND = 1e-9
-MAX_QUBITS = 24
 
 
 class IntegratorError(RuntimeError):
@@ -55,12 +59,11 @@ class SweepSchedule:
             raise ValueError("window count must be positive")
 
 
-def auto_windows(diag: ProblemDiagonal, driver: DriverSpec, T: float,
-                 phase_per_window: float = PHASE_PER_WINDOW) -> int:
+def auto_windows(diag: ProblemDiagonal, driver: DriverSpec, T: float) -> int:
     scale = float(diag.values.max()) + driver.h0 * diag.n_qubits
     return max(
         MIN_WINDOWS,
-        math.ceil(T * scale / phase_per_window),
+        math.ceil(T * scale / PHASE_PER_WINDOW),
         math.ceil(T * WINDOWS_PER_TIME),
     )
 
@@ -69,7 +72,7 @@ def auto_windows(diag: ProblemDiagonal, driver: DriverSpec, T: float,
 class SweepResult:
     T: float
     windows: int
-    probs: np.ndarray
+    probs: np.ndarray  # over the sector states, aligned with diag.values
     grouped: dict[int, float]
     norm_drift: float
 
@@ -109,24 +112,19 @@ def evolve(
     """Integrate the sweep and return final outcome probabilities grouped
     by squared length.
 
-    The sweep runs in the problem's qudit sector (``qudit_sector``), which
-    the dynamics never leave; ``probs`` is then filled in over the full
-    space, each sector state's probability shared equally among its
-    configurations.  A diagonal without a layout is read as n one-qubit
-    qudits.
+    The sweep runs in the problem's qudit sector, which the dynamics never
+    leave, from the uniform superposition (each sector state weighted by
+    the square root of its multiplicity); ``probs`` is the final
+    distribution over the sector states, aligned with ``diag.values``.
     """
-    n = diag.n_qubits
-    if n > MAX_QUBITS:
-        raise IntegratorError(
-            f"{n} qubits exceeds the {MAX_QUBITS}-qubit state-vector cap"
-        )
     windows = schedule.windows or auto_windows(diag, driver, schedule.T)
-    sector = qudit_sector(diag.qudit_layout, diag.on_grid)
-    mult = sector.multiplicity()
-    psi0 = np.sqrt(mult / diag.dim).astype(np.complex128)
+    local = diag.driver()
+    shape = (local.shape[0],) * diag.n_qudits
+    mult = diag.multiplicity()
+    psi0 = np.sqrt(mult / mult.sum()).astype(np.complex128)
     psi = _kernels.yoshida_sweep_sector(
-        psi0.reshape(sector.diagonal.shape), sector.diagonal.astype(np.float64),
-        sector.driver(), driver.h0, schedule.T, windows,
+        psi0.reshape(shape), diag.values.reshape(shape).astype(np.float64),
+        local, driver.h0, schedule.T, windows,
     ).reshape(-1)
     norm = float(np.linalg.norm(psi))
     drift = abs(1.0 - norm)
@@ -136,8 +134,7 @@ def evolve(
             f"(T={schedule.T}, windows={windows})"
         )
     probs = (np.abs(psi) ** 2) / (norm * norm)
-    grouped = group_probabilities(sector.diagonal, probs)
-    probs = (probs / mult)[sector.full_index()]
+    grouped = group_probabilities(diag.values, probs)
     return SweepResult(
         T=schedule.T,
         windows=windows,
@@ -178,18 +175,21 @@ def sweep_scan(
 
 
 def parse_T_list(spec: str) -> list[float]:
-    """Sweep lists like '2^0..2^10' (powers of two), '1,2,4' or '16'."""
+    """Sweep lists like '2^0..2^10' (powers of two), '1,2,4' or '16';
+    raises ValueError if the list is empty."""
     spec = spec.strip()
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
-        lo = _parse_T(lo_s)
-        hi = _parse_T(hi_s)
-        if lo_s.strip().startswith("2^") and hi_s.strip().startswith("2^"):
-            a = int(round(math.log2(lo)))
-            b = int(round(math.log2(hi)))
-            return [float(2 ** e) for e in range(a, b + 1)]
-        raise ValueError("ranges need the 2^a..2^b form")
-    return [_parse_T(part) for part in spec.split(",") if part.strip()]
+        if not (lo_s.strip().startswith("2^") and hi_s.strip().startswith("2^")):
+            raise ValueError("ranges need the 2^a..2^b form")
+        a = int(round(math.log2(_parse_T(lo_s))))
+        b = int(round(math.log2(_parse_T(hi_s))))
+        Ts = [float(2 ** e) for e in range(a, b + 1)]
+    else:
+        Ts = [_parse_T(part) for part in spec.split(",") if part.strip()]
+    if not Ts:
+        raise ValueError(f"no sweep durations in {spec!r}")
+    return Ts
 
 
 def _parse_T(s: str) -> float:

@@ -242,8 +242,6 @@ def lower_to_physical(
     emb: ChimeraEmbedding,
     graph: ChimeraGraph,
     noise: NoiseSpec = NoiseSpec(),
-    j_max: float = HARDWARE_J_MAX,
-    h_max: float = HARDWARE_H_MAX,
 ) -> PhysicalModel:
     """Distribute logical couplings over the available inter-chain edges
     (equal split), spread fields along chains, add ferromagnetic chain
@@ -287,9 +285,9 @@ def lower_to_physical(
     max_h = float(np.abs(h).max()) if h.size else 0.0
     scale = 1.0
     if max_j > 0:
-        scale = min(scale, j_max / max_j)
+        scale = min(scale, HARDWARE_J_MAX / max_j)
     if max_h > 0:
-        scale = min(scale, h_max / max_h)
+        scale = min(scale, HARDWARE_H_MAX / max_h)
     h = h * scale
     jmap = {k: v * scale for k, v in jmap.items()}
 
@@ -314,16 +312,16 @@ def lower_to_physical(
 @dataclass(frozen=True)
 class AnnealParams:
     sweeps: int = 1000
-    beta_hot: float | None = None  # None: from the coefficient scale
-    beta_cold: float | None = None
 
     def schedule(self, phys: PhysicalModel) -> np.ndarray:
         de = _flip_scales(phys)
         de_max = float(de.max()) if de.size and de.max() > 0 else 1.0
         de_min = float(de[de > 0].min()) if (de > 0).any() else de_max
         de_min = max(de_min, de_max / 1e3)
-        hot = self.beta_hot if self.beta_hot is not None else math.log(2.0) / de_max
-        cold = self.beta_cold if self.beta_cold is not None else math.log(200.0) / de_min
+        # acceptance exp(-beta dE) runs from 1/2 for the largest flip to
+        # 1/200 for the smallest
+        hot = math.log(2.0) / de_max
+        cold = math.log(200.0) / de_min
         return np.geomspace(hot, cold, self.sweeps)
 
 

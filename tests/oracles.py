@@ -111,6 +111,23 @@ def decode_energy(config_index, basis_rows, encoding):
     return sum(c * c for c in v)
 
 
+def sector_index(encoding, n_qudits):
+    """Qudit-sector state of every full-space configuration, flat with qudit
+    0 as the least significant digit, read from each qudit's local bits:
+    a Hamming qudit's level is their popcount (its Hamming weight), a binary
+    qudit's level the local bits themselves."""
+    m = encoding.qubits_per_qudit
+    hamming = encoding.family == "hamming"
+    d = m + 1 if hamming else 1 << m
+    config = np.arange(1 << (m * n_qudits))
+    index = np.zeros_like(config)
+    for j in range(n_qudits):
+        local = (config >> (j * m)) & ((1 << m) - 1)
+        level = sum((local >> p) & 1 for p in range(m)) if hamming else local
+        index += level * d ** j
+    return index
+
+
 def dense_sweep_hamiltonian(diag_values, h0, s):
     """Explicit H(s) built from scratch (bit arithmetic, no library calls)."""
     dim = len(diag_values)

@@ -2,10 +2,12 @@ import csv
 import json
 import time
 
+import numpy as np
 import pytest
 
 import svpanneal as sa
 from svpanneal.cli import main
+from svpanneal.encoding import coefficient_grid
 
 
 def run(args):
@@ -119,6 +121,42 @@ def test_simulate_results(tmp_path, model_file, instance_file, capsys):
         assert abs(total - 1.0) < 1e-6
 
 
+def test_hamming_30_qubits_run_in_the_sector(tmp_path):
+    # 3D Hamming [-5,5]: 30 qubits, an 11^3 = 1331-state sector; the 2^30
+    # diagonal (8 GiB) is never built
+    inst_path = tmp_path / "inst.json"
+    run(["gen", "--dim", 3, "--seed", 0, "--out", inst_path])
+    model_path = tmp_path / "ham5.json"
+    run(["encode", "--in", inst_path, "--encoding", "ham", "--range=-5:5",
+         "--out", model_path])
+    res_path = tmp_path / "res.json"
+    run(["simulate", "--model", model_path, "--T", 1, "--out", res_path])
+    grouped = json.loads(res_path.read_text())["runs"][0]["grouped"]
+    assert sum(grouped.values()) == pytest.approx(1.0, abs=1e-9)
+    g = sa.gram(sa.Instance.load(inst_path).bad)
+    enc = sa.QuditEncoding.hamming(rng=(-5, 5))
+    x, _ = coefficient_grid(enc, 3)
+    lengths = np.einsum("ij,jk,ik->i", x, np.array(g.entries), x)
+    assert {int(k) for k in grouped} <= set(lengths.tolist())
+    csv_path = tmp_path / "gap.csv"
+    run(["gap-scan", "--model", model_path, "--grid", 9, "--out", csv_path])
+    with open(csv_path) as f:
+        rows = list(csv.reader(f))
+    prof = sa.sector_gap_scan(g, enc, sa.DriverSpec(), grid=9)
+    assert min(float(r[3]) for r in rows[1:]) == float(f"{prof.min_gap[1]:.12g}")
+
+
+def test_simulate_refuses_oversized_sector(tmp_path, instance_file):
+    # 3D binary k=8: 27 qubits, a 2^27-state sector
+    model_path = tmp_path / "bin8.json"
+    run(["encode", "--in", instance_file, "--encoding", "bin", "--k", 8,
+         "--out", model_path])
+    t0 = time.perf_counter()
+    with pytest.raises(sa.ResourceLimitError, match=str(2 ** 27)):
+        run(["simulate", "--model", model_path, "--T", 1, "--out", tmp_path / "x.json"])
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_emulate_and_histogram(tmp_path, instance_file, capsys):
     model_path = tmp_path / "ham.json"
     run(["encode", "--in", instance_file, "--encoding", "ham",
@@ -151,6 +189,18 @@ def test_analyze_directory(tmp_path, instance_file, capsys):
         rows = list(csv.reader(f))
     assert rows[0] == ["dim", "encoding", "fom", "mean", "stderr", "baseline"]
     assert len(rows) == 1 + 4  # one (dim, encoding) cell, four FoM
+
+
+def test_analyze_rejects_sweep_file_without_runs(tmp_path, model_file, instance_file):
+    res_path = tmp_path / "res_a.json"
+    run(["simulate", "--model", model_file, "--T", 1, "--instance", instance_file,
+         "--out", res_path])
+    payload = json.loads(res_path.read_text())
+    payload["runs"] = []
+    for name in ("res_a.json", "res_b.json"):
+        (tmp_path / name).write_text(json.dumps(payload))
+    with pytest.raises(SystemExit, match="res_a.json"):
+        run(["analyze", "--in", tmp_path, "--out", tmp_path / "an.csv"])
 
 
 def test_unknown_command_rejected():

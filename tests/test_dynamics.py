@@ -1,20 +1,31 @@
+import time
+
 import numpy as np
 import pytest
 
 import svpanneal as sa
 from svpanneal import dynamics
 
-from oracles import reference_evolution
+from oracles import reference_evolution, sector_index
 
 
-def tiny_problem(seed=5, family="binary"):
+def tiny_model(seed=5, family="binary"):
     inst = sa.generate_instance(2, seed)
     enc = (sa.QuditEncoding.binary(k=1) if family == "binary"
            else sa.QuditEncoding.hamming(k=1))
-    diag = sa.ProblemDiagonal.from_model(
-        sa.compile_ising(sa.gram(inst.bad), enc)
-    )
-    return inst, enc, diag
+    return inst, sa.compile_ising(sa.gram(inst.bad), enc)
+
+
+def tiny_problem(seed=5, family="binary"):
+    inst, model = tiny_model(seed, family)
+    return inst, model.layout.encoding, sa.ProblemDiagonal.from_model(model)
+
+
+def on_full_space(model, probs):
+    """Sector probabilities over the full space, each sector state's share
+    split equally among its configurations (by the independent index)."""
+    index = sector_index(model.layout.encoding, model.layout.n_qudits)
+    return probs[index] / np.bincount(index)[index]
 
 
 class TestEvolve:
@@ -64,11 +75,14 @@ class TestEvolve:
             )
             assert np.abs(base.probs - fine.probs).max() < 1e-6
 
-    def test_qubit_cap(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "MAX_QUBITS", 2)
-        _, _, diag = tiny_problem()
-        with pytest.raises(sa.IntegratorError):
-            sa.evolve(diag, sa.DriverSpec(), sa.SweepSchedule(T=1.0))
+    def test_qubit_cap(self):
+        # 3D binary k=8: 27 qubits, whose 2^27-state sector is over the cap
+        g = sa.gram(sa.generate_instance(3, 0).bad)
+        model = sa.compile_ising(g, sa.QuditEncoding.binary(k=8))
+        t0 = time.perf_counter()
+        with pytest.raises(sa.ResourceLimitError, match=str(2 ** 27)):
+            sa.ProblemDiagonal.from_model(model)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_p_level_accessors(self):
         _, _, diag = tiny_problem()
@@ -79,53 +93,61 @@ class TestEvolve:
         assert res.p_second == res.grouped[levels[1]]
 
 
-def problem_3d(enc, seed=0):
+def model_3d(enc, seed=0):
     inst = sa.generate_instance(3, seed)
-    return sa.ProblemDiagonal.from_model(sa.compile_ising(sa.gram(inst.bad), enc))
+    return sa.compile_ising(sa.gram(inst.bad), enc)
 
 
 SECTOR_PROBLEMS = {
-    "hamming-2d-k1": lambda: tiny_problem(family="hamming")[2],
-    "hamming-3d-r2": lambda: problem_3d(sa.QuditEncoding.hamming(rng=(-2, 2))),
-    "binary-3d-r4": lambda: problem_3d(sa.QuditEncoding.binary(k=2)),
+    "hamming-2d-k1": lambda: tiny_model(family="hamming")[1],
+    "hamming-3d-r2": lambda: model_3d(sa.QuditEncoding.hamming(rng=(-2, 2))),
+    "binary-3d-r4": lambda: model_3d(sa.QuditEncoding.binary(k=2)),
 }
 
 
 class TestSectorPath:
     """Every sweep runs on a product of per-qudit local spaces: (m+1)-level
-    ladders for Hamming, one 2^q-level axis per binary qudit.  The same
-    values without a layout (n one-qubit axes) and a dense Runge-Kutta
-    integration are the references."""
+    ladders for Hamming, one 2^q-level axis per binary qudit.  The full
+    2^n diagonal of the same model (n one-qubit axes) and a dense
+    Runge-Kutta integration are the references, compared through the
+    independent full-space-to-sector index."""
 
     @pytest.mark.parametrize("problem", list(SECTOR_PROBLEMS))
     @pytest.mark.parametrize("T", [0.5, 4.0, 32.0])
     def test_matches_full_space(self, problem, T):
-        diag = SECTOR_PROBLEMS[problem]()
-        assert diag.layout is not None
+        model = SECTOR_PROBLEMS[problem]()
+        diag = sa.ProblemDiagonal.from_model(model)
         drv = sa.DriverSpec(1.0)
         sched = sa.SweepSchedule(T=T)
         sector = sa.evolve(diag, drv, sched)
-        full = sa.evolve(sa.ProblemDiagonal(diag.values), drv, sched)
+        full = sa.evolve(sa.ProblemDiagonal(sa.problem_diagonal_ints(model)), drv, sched)
         assert sector.windows == full.windows
         assert sector.grouped.keys() == full.grouped.keys()
         for level, p in full.grouped.items():
             assert abs(sector.grouped[level] - p) < 1e-10
-        assert sector.probs.shape == full.probs.shape
-        assert np.abs(sector.probs - full.probs).max() < 1e-10
+        assert sector.probs.shape == (diag.dim,)
+        assert dynamics.group_probabilities(diag.values, sector.probs) == sector.grouped
+        assert np.abs(on_full_space(model, sector.probs) - full.probs).max() < 1e-10
         assert sector.norm_drift < dynamics.NORM_DRIFT_BOUND
 
     @pytest.mark.parametrize("family", ["hamming", "binary"])
     def test_matches_reference_integration(self, family):
-        _, _, diag = tiny_problem(family=family)
+        _, model = tiny_model(family=family)
         T = 2.0
-        res = sa.evolve(diag, sa.DriverSpec(1.0), sa.SweepSchedule(T=T))
-        psi_ref = reference_evolution(diag.values, 1.0, T, 10 * res.windows)
-        assert np.abs(res.probs - np.abs(psi_ref) ** 2).max() < 1e-6
+        res = sa.evolve(sa.ProblemDiagonal.from_model(model), sa.DriverSpec(1.0),
+                        sa.SweepSchedule(T=T))
+        psi_ref = reference_evolution(sa.problem_diagonal_ints(model), 1.0, T,
+                                      10 * res.windows)
+        assert np.abs(on_full_space(model, res.probs) - np.abs(psi_ref) ** 2).max() < 1e-6
 
     def test_layout_must_match_diagonal(self):
+        # 3^2 sector states of 4-configuration qudits; 8 values would be
+        # three one-qubit qudits, but not with this level map
         _, _, diag = tiny_problem(family="hamming")
         with pytest.raises(ValueError):
-            sa.ProblemDiagonal(diag.values[:8], diag.layout)
+            sa.ProblemDiagonal(diag.values[:8], diag.level)
+        with pytest.raises(ValueError):
+            sa.ProblemDiagonal(diag.values, diag.level[:3])
 
     def test_needs_one_qubit(self):
         with pytest.raises(ValueError):
@@ -152,10 +174,10 @@ class TestSweepScan:
             assert sum(e.result.grouped.values()) == pytest.approx(1.0, abs=1e-6)
 
     def test_per_T_errors_do_not_abort(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "MAX_QUBITS", 2)
+        monkeypatch.setattr(dynamics, "NORM_DRIFT_BOUND", -1.0)
         inst, enc, _ = tiny_problem()
         entries = sa.sweep_scan(inst, enc, [1.0, 2.0])
-        assert all(e.result is None and "cap" in e.error for e in entries)
+        assert all(e.result is None and "drift" in e.error for e in entries)
 
     def test_empty_T_list_rejected(self):
         inst, enc, _ = tiny_problem()
@@ -174,6 +196,11 @@ class TestScheduleParsing:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             dynamics.parse_T_list("1..5")
+
+    @pytest.mark.parametrize("spec", [",", " ", "2^3..2^1"])
+    def test_empty_list_rejected(self, spec):
+        with pytest.raises(ValueError, match="no sweep durations"):
+            dynamics.parse_T_list(spec)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import svpanneal as sa
 from svpanneal import spectrum
 
-from oracles import dense_sweep_hamiltonian
+from oracles import dense_sweep_hamiltonian, sector_index
 
 
 def small_problem(seed=5, family="binary"):
@@ -17,7 +16,7 @@ def small_problem(seed=5, family="binary"):
     enc = (sa.QuditEncoding.binary(k=1) if family == "binary"
            else sa.QuditEncoding.hamming(k=1))
     model = sa.compile_ising(g, enc)
-    return g, enc, sa.ProblemDiagonal.from_model(model)
+    return g, model, sa.ProblemDiagonal.from_model(model)
 
 
 class TestGapScan:
@@ -68,11 +67,11 @@ class TestGapScan:
         # without a layout the sector is the full space, even for Hamming
         # values, whose full-space ground level is degenerate at s=1
         for family in ("binary", "hamming"):
-            _, _, diag = small_problem(seed=2, family=family)
-            bare = sa.ProblemDiagonal(diag.values)
-            prof = sa.gap_scan(bare, sa.DriverSpec(0.7), grid=9)
+            _, model, _ = small_problem(seed=2, family=family)
+            values = sa.problem_diagonal_ints(model)
+            prof = sa.gap_scan(sa.ProblemDiagonal(values), sa.DriverSpec(0.7), grid=9)
             for s, e0, e1 in zip(prof.s_grid, prof.e0, prof.e1):
-                full = np.linalg.eigvalsh(dense_sweep_hamiltonian(diag.values, 0.7, s))
+                full = np.linalg.eigvalsh(dense_sweep_hamiltonian(values, 0.7, s))
                 assert e0 == pytest.approx(full[0], abs=1e-9)
                 assert e1 == pytest.approx(full[1], abs=1e-9)
 
@@ -123,14 +122,15 @@ class TestSectorScan:
         g = sa.gram(inst.bad)
         enc = sa.QuditEncoding.hamming(k=1)
         drv = sa.DriverSpec(1.0)
-        diag = sa.ProblemDiagonal.from_model(sa.compile_ising(g, enc))
-        sector = spectrum.qudit_sector(diag.layout, diag.on_grid)
-        sec_drv, sec_diag = spectrum.sector_hamiltonian_parts(sector, drv)
+        model = sa.compile_ising(g, enc)
+        diag = sa.ProblemDiagonal.from_model(model)
+        values = sa.problem_diagonal_ints(model)
+        sec_drv, sec_diag = spectrum.sector_hamiltonian_parts(diag, drv)
         grid = (0.0, 0.35, 0.8, 1.0)
         prof = sa.gap_scan(diag, drv, grid=np.array(grid))
         for i, s in enumerate(grid):
             sec = np.linalg.eigvalsh((1 - s) * sec_drv + s * np.diag(sec_diag))
-            full = np.linalg.eigvalsh(dense_sweep_hamiltonian(diag.values, 1.0, s))
+            full = np.linalg.eigvalsh(dense_sweep_hamiltonian(values, 1.0, s))
             assert sec[0] == pytest.approx(full[0], abs=1e-9)  # shared ground
             for v in sec:
                 assert np.min(np.abs(full - v)) < 1e-8
@@ -139,20 +139,20 @@ class TestSectorScan:
 
     def test_sector_energies_from_model_and_diagonal_agree(self):
         g = sa.gram(sa.generate_instance(3, 4).bad)
-        model = sa.compile_ising(g, sa.QuditEncoding.hamming(rng=(-2, 2)))
+        enc = sa.QuditEncoding.hamming(rng=(-2, 2))
+        model = sa.compile_ising(g, enc)
         diag = sa.ProblemDiagonal.from_model(model)
-        sector = spectrum.qudit_sector(model.layout,
-                                       partial(sa.problem_diagonal_ints, model))
-        assert np.array_equal(sector.diagonal,
-                              spectrum.qudit_sector(diag.layout, diag.on_grid).diagonal)
-        # qudit j sits on axis N-1-j; weight w is the value 2 - w
+        # qudit j is digit j of the flat index, on axis N-1-j of the
+        # (5, 5, 5) grid; weight w is the value 2 - w
         w = (1, 4, 0)
-        assert sector.diagonal[w[2], w[1], w[0]] == g.length_sq([2 - x for x in w])
-        assert np.array_equal(sector.diagonal.reshape(-1)[sector.full_index()], diag.values)
-        # so the scan of the diagonal is the scan of the model, bit for bit
+        assert diag.values.reshape(5, 5, 5)[w[2], w[1], w[0]] == g.length_sq(
+            [2 - x for x in w])
+        assert np.array_equal(diag.values[sector_index(enc, 3)],
+                              sa.problem_diagonal_ints(model))
+        # the scan of the model's sector is sector_gap_scan, bit for bit
         drv = sa.DriverSpec(0.9)
         from_diag = sa.gap_scan(diag, drv, grid=9)
-        from_model = sa.sector_gap_scan(g, model.layout.encoding, drv, grid=9)
+        from_model = sa.sector_gap_scan(g, enc, drv, grid=9)
         assert np.array_equal(from_diag.e0, from_model.e0)
         assert np.array_equal(from_diag.e1, from_model.e1)
 
@@ -215,18 +215,18 @@ class TestSectorMap:
         g, enc = problem
         model = sa.compile_ising(g, enc)
         diag = sa.ProblemDiagonal.from_model(model)
-        sector = spectrum.qudit_sector(model.layout,
-                                       partial(sa.problem_diagonal_ints, model))
-        index = sector.full_index()
-        assert np.array_equal(sector.diagonal.reshape(-1)[index], diag.values)
-        mult = sector.multiplicity()
-        assert mult.sum() == diag.dim
+        values = sa.problem_diagonal_ints(model)
+        index = sector_index(enc, g.dim)
+        assert np.array_equal(diag.values[index], values)
+        mult = diag.multiplicity()
+        assert np.array_equal(mult, np.bincount(index, minlength=diag.dim))
+        assert mult.sum() == values.size
         # columns: normalised uniform superpositions of each sector state
-        p = np.zeros((diag.dim, sector.dim))
-        p[np.arange(diag.dim), index] = mult[index] ** -0.5
-        drv, dg = spectrum.sector_hamiltonian_parts(sector, sa.DriverSpec(0.9))
+        p = np.zeros((values.size, diag.dim))
+        p[np.arange(values.size), index] = mult[index] ** -0.5
+        drv, dg = spectrum.sector_hamiltonian_parts(diag, sa.DriverSpec(0.9))
         for s in (0.0, 0.4, 1.0):
-            h_full = dense_sweep_hamiltonian(diag.values, 0.9, s)
+            h_full = dense_sweep_hamiltonian(values, 0.9, s)
             h_sector = (1 - s) * drv + s * np.diag(dg)
             assert np.allclose(p.T @ h_full @ p, h_sector, atol=1e-12)
             assert np.allclose(h_full @ p, p @ h_sector, atol=1e-12)
