@@ -1,8 +1,9 @@
 """Hot loops for the sweep propagator and the annealing sampler.
 
 The sweep propagator is vectorized numpy on a tensor product of small
-per-qudit local spaces (the qudit sector of ``spectrum.ProblemDiagonal``).  The sampler is a plain
-Python loop, one seeded anneal per read.
+per-qudit local spaces (the qudit sector of ``spectrum.ProblemDiagonal``).
+The sampler is vectorized numpy over reads, one seeded anneal per read,
+bit-identical to updating one spin of one read at a time.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 # phase factors the propagator tabulates at once (1 MiB per table)
 _PHASE_BLOCK = 1 << 16
+# sweeps per refill of the sampler's per-read buffers of uniform draws
+_DRAW_BLOCK = 16
 
 
 def _substeps(h0, T, windows):
@@ -80,21 +83,79 @@ def yoshida_sweep_sector(psi, diag, local, h0, T, windows):
     return _each_axis(x, vec, shapes).reshape(psi.shape)
 
 
+def _independent_runs(nbr_ptr, nbr_idx):
+    """Bounds (a, b) of the maximal runs of consecutive slots a..b-1 with no
+    edge among them, in slot order (on Chimera, whole cell halves)."""
+    n = nbr_ptr.size - 1
+    starts = [0] if n else []
+    for i in range(1, n):
+        nbrs = nbr_idx[nbr_ptr[i]:nbr_ptr[i + 1]]
+        if ((nbrs >= starts[-1]) & (nbrs < i)).any():
+            starts.append(i)
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def metropolis_reads(nbr_ptr, nbr_idx, nbr_val, h, betas, reads, seeds):
     """Temperature-scheduled single-spin-flip Metropolis; one independent
-    anneal per read, seeded per read."""
+    anneal per read, seeded per read.  Returns (reads, n) int8 spins.
+
+    Reads share an array axis but each keeps its own ``RandomState`` and
+    consumes it exactly as a one-spin-at-a-time loop would: n uniforms for
+    the start state, then one uniform per update whose energy change is
+    positive.  A run of slots with no edge among them updates at once, the
+    draws handed out in slot order, and every field is summed neighbour by
+    neighbour in CSR order, so the spins are bit-identical to that loop.
+    """
     n = h.size
-    out = np.empty((reads, n), dtype=np.int8)
-    for r in range(reads):
-        rng = np.random.RandomState(seeds[r])
-        s = np.where(rng.random_sample(n) < 0.5, 1, -1).astype(np.int8)
-        for beta in betas:
-            for i in range(n):
-                field = h[i]
-                for t in range(nbr_ptr[i], nbr_ptr[i + 1]):
-                    field += nbr_val[t] * s[nbr_idx[t]]
-                d_e = -2.0 * s[i] * field
-                if d_e <= 0.0 or rng.random_sample() < np.exp(-beta * d_e):
-                    s[i] = -s[i]
-        out[r] = s
-    return out
+    rngs = [np.random.RandomState(seed) for seed in seeds[:reads]]
+    # one column per read, plus a row of ones that carries the fields
+    s = np.ones((n + 1, reads))
+    for r, rng in enumerate(rngs):
+        s[:n, r] = np.where(rng.random_sample(n) < 0.5, 1.0, -1.0)
+
+    # padded neighbour table: term 0 is h times the row of ones, padding
+    # adds 0.0, which leaves every sign and every nonzero field unchanged
+    deg = np.diff(nbr_ptr)
+    width = int(deg.max(initial=0)) + 1
+    row = np.repeat(np.arange(n), deg)
+    col = np.arange(nbr_idx.size) - np.repeat(nbr_ptr[:-1], deg) + 1
+    tab_idx = np.full((n, width), n)
+    tab_val = np.zeros((n, width))
+    tab_idx[row, col] = nbr_idx
+    tab_val[row, col] = nbr_val
+    tab_val[:, 0] = h
+    runs = []
+    for a, b in _independent_runs(nbr_ptr, nbr_idx):
+        w = int(deg[a:b].max()) + 1
+        runs.append((a, b, tab_idx[a:b, :w].T, tab_val[a:b, :w].T[:, :, None]))
+
+    # each read's unused uniforms, refilled before every block of sweeps
+    # with as many as the block can consume at most
+    cap = n * _DRAW_BLOCK
+    draws = np.empty((reads, cap))
+    flat = draws.reshape(-1)
+    base = np.arange(reads) * cap
+    used = np.full(reads, cap)
+    for start in range(0, len(betas), _DRAW_BLOCK):
+        for r, rng in enumerate(rngs):
+            k = used[r]
+            draws[r, :cap - k] = draws[r, k:]
+            draws[r, cap - k:] = rng.random_sample(k)
+        nxt = base.copy()
+        for beta in betas[start:start + _DRAW_BLOCK]:
+            for a, b, idx, val in runs:
+                terms = s[idx]
+                terms *= val
+                field = terms[0]
+                for t in terms[1:]:
+                    field += t
+                spin = s[a:b]
+                d_e = -2.0 * spin * field
+                up = d_e > 0.0
+                taken = up.cumsum(axis=0)
+                u = flat[nxt + taken - up]
+                nxt += taken[-1]
+                flip = ~up | (u < np.exp(-beta * np.maximum(d_e, 0.0)))
+                np.negative(spin, out=spin, where=flip)
+        used = nxt - base
+    return s[:n].T.astype(np.int8, order="C")

@@ -3,10 +3,11 @@
 Maps a fully connected logical Ising model onto a Chimera graph with a
 deterministic triangular clique embedding (qubit chains), rescales the
 coefficients into a hardware range, perturbs them with control-error noise,
-samples with a classical temperature-scheduled Metropolis anneal, and
-decodes chains by majority vote.  Its purpose is the relative comparison of
-encodings under coefficient noise, not absolute quantum fidelity: the
-"solving the wrong problem" effect lives entirely in coefficient space.
+samples with a classical temperature-scheduled Metropolis anneal (all reads
+at once, each on its own seeded random stream), and decodes chains by
+majority vote.  Its purpose is the relative comparison of encodings under
+coefficient noise, not absolute quantum fidelity: the "solving the wrong
+problem" effect lives entirely in coefficient space.
 
 Energy convention matches the logical models: E = offset + sum h_i s_i +
 sum_{i<j} J_ij s_i s_j, so chain couplings are ferromagnetic when negative.
@@ -96,13 +97,6 @@ def build_chimera(m: int) -> ChimeraGraph:
     return ChimeraGraph(m=m, adjacency=tuple(frozenset(a) for a in adj))
 
 
-def complete_graph(n: int) -> ChimeraGraph:
-    """Fully connected stand-in graph (chains of length one embed any model
-    identically); m is set to 0 to mark it as non-Chimera."""
-    adj = tuple(frozenset(v for v in range(n) if v != u) for u in range(n))
-    return ChimeraGraph(m=0, adjacency=adj)
-
-
 @dataclass(frozen=True)
 class ChimeraEmbedding:
     chains: tuple[tuple[int, ...], ...]  # logical qubit -> physical qubits
@@ -115,12 +109,6 @@ class ChimeraEmbedding:
     @property
     def n_physical(self) -> int:
         return sum(len(c) for c in self.chains)
-
-
-def identity_embedding(n_logical: int, chain_strength: float = 1.0) -> ChimeraEmbedding:
-    return ChimeraEmbedding(
-        chains=tuple((i,) for i in range(n_logical)), chain_strength=chain_strength
-    )
 
 
 def min_grid_for_clique(n_logical: int) -> int:
@@ -313,6 +301,10 @@ def lower_to_physical(
 class AnnealParams:
     sweeps: int = 1000
 
+    def __post_init__(self):
+        if self.sweeps < 1:
+            raise ValueError(f"need at least one sweep, got {self.sweeps}")
+
     def schedule(self, phys: PhysicalModel) -> np.ndarray:
         de = _flip_scales(phys)
         de_max = float(de.max()) if de.size and de.max() > 0 else 1.0
@@ -345,21 +337,15 @@ def sample(
     if reads < 1:
         raise ValueError("need at least one read")
     n = phys.n_qubits
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i, j, v in phys.couplings:
-        nbrs[i].append((j, v))
-        nbrs[j].append((i, v))
+    # CSR neighbour lists: each row lists its couplings in the order of
+    # phys.couplings, the order in which the sampler sums a field
+    pairs = np.array([(i, j) for i, j, _ in phys.couplings], dtype=np.int64).reshape(-1, 2)
+    rows = pairs.reshape(-1)
+    order = np.argsort(rows, kind="stable")
+    idx = pairs[:, ::-1].reshape(-1)[order]
+    val = np.repeat([float(v) for _, _, v in phys.couplings], 2)[order]
     ptr = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n):
-        ptr[i + 1] = ptr[i] + len(nbrs[i])
-    idx = np.empty(ptr[-1], dtype=np.int64)
-    val = np.empty(ptr[-1], dtype=np.float64)
-    pos = 0
-    for i in range(n):
-        for j, v in nbrs[i]:
-            idx[pos] = j
-            val[pos] = v
-            pos += 1
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
     betas = params.schedule(phys)
     seeds = np.random.SeedSequence(seed).generate_state(reads).astype(np.int64)
     return _kernels.metropolis_reads(ptr, idx, val, phys.h, betas, reads, seeds)

@@ -3,8 +3,11 @@
 Everything here deliberately avoids the code paths under test: lattice
 membership by exact rational elimination, shortest vectors by enumerating
 integer points of a ball, energies by per-configuration decoding with
-Fractions, spectra from explicitly assembled matrices, and time evolution
-by a high-resolution Runge-Kutta integrator on the dense Hamiltonian.
+Fractions, spectra from explicitly assembled matrices, time evolution
+by a high-resolution Runge-Kutta integrator on the dense Hamiltonian, and
+annealing reads by a one-spin-at-a-time Metropolis loop.  Also the test
+fixtures for the emulator: a complete stand-in graph and its identity
+embedding.
 """
 from __future__ import annotations
 
@@ -12,6 +15,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from svpanneal.emulator import ChimeraEmbedding, ChimeraGraph
 
 
 def integral_coefficients(basis_rows, vector):
@@ -164,3 +169,58 @@ def reference_evolution(diag_values, h0, T, steps):
         psi = psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
     return psi
+
+
+def metropolis_reference(nbr_ptr, nbr_idx, nbr_val, h, betas, reads, seeds):
+    """Temperature-scheduled single-spin-flip Metropolis; one independent
+    anneal per read, seeded per read.  One spin at a time in plain Python:
+    the reference the vectorised sampler must reproduce draw for draw."""
+    n = h.size
+    out = np.empty((reads, n), dtype=np.int8)
+    for r in range(reads):
+        rng = np.random.RandomState(seeds[r])
+        s = np.where(rng.random_sample(n) < 0.5, 1, -1).astype(np.int8)
+        for beta in betas:
+            for i in range(n):
+                field = h[i]
+                for t in range(nbr_ptr[i], nbr_ptr[i + 1]):
+                    field += nbr_val[t] * s[nbr_idx[t]]
+                d_e = -2.0 * s[i] * field
+                if d_e <= 0.0 or rng.random_sample() < np.exp(-beta * d_e):
+                    s[i] = -s[i]
+        out[r] = s
+    return out
+
+
+def neighbour_lists(n, couplings):
+    """CSR (ptr, idx, val) of the (i, j, v) couplings, assembled coupling by
+    coupling: each spin lists its neighbours in the order of ``couplings``."""
+    nbrs = [[] for _ in range(n)]
+    for i, j, v in couplings:
+        nbrs[i].append((j, v))
+        nbrs[j].append((i, v))
+    ptr = np.cumsum([0] + [len(nb) for nb in nbrs]).astype(np.int64)
+    idx = np.array([j for nb in nbrs for j, _ in nb], dtype=np.int64)
+    val = np.array([v for nb in nbrs for _, v in nb], dtype=np.float64)
+    return ptr, idx, val
+
+
+def reference_sample(phys, reads, seed, params):
+    """``emulator.sample`` rebuilt on ``neighbour_lists`` and
+    ``metropolis_reference``."""
+    ptr, idx, val = neighbour_lists(phys.n_qubits, phys.couplings)
+    seeds = np.random.SeedSequence(seed).generate_state(reads).astype(np.int64)
+    return metropolis_reference(ptr, idx, val, phys.h, params.schedule(phys), reads, seeds)
+
+
+def complete_graph(n):
+    """Fully connected stand-in graph (chains of length one embed any model
+    identically); m is set to 0 to mark it as non-Chimera."""
+    adj = tuple(frozenset(v for v in range(n) if v != u) for u in range(n))
+    return ChimeraGraph(m=0, adjacency=adj)
+
+
+def identity_embedding(n_logical, chain_strength=1.0):
+    return ChimeraEmbedding(
+        chains=tuple((i,) for i in range(n_logical)), chain_strength=chain_strength
+    )

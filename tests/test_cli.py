@@ -174,6 +174,14 @@ def test_emulate_and_histogram(tmp_path, instance_file, capsys):
     assert "lambda1_sq" in hist.read_text()
 
 
+def test_emulate_refuses_zero_sweeps(tmp_path, model_file):
+    # zero sweeps used to write the unannealed random start states
+    with pytest.raises(ValueError, match="sweep"):
+        run(["emulate", "--model", model_file, "--reads", 5, "--sweeps", 0,
+             "--out", tmp_path / "samples.json"])
+    assert not (tmp_path / "samples.json").exists()
+
+
 def test_analyze_directory(tmp_path, instance_file, capsys):
     for seed in (7, 8):
         inst_path = tmp_path / f"inst{seed}.json"

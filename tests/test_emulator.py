@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import svpanneal as sa
-from svpanneal import emulator
+from svpanneal import _kernels, emulator
+
+from oracles import complete_graph, identity_embedding, neighbour_lists, reference_sample
 
 
 def enumerate_model_energies(h, couplings, n):
@@ -121,8 +124,8 @@ class TestLowerToPhysical:
     def test_identity_embedding_is_rescaled_logical(self):
         _, model = compiled_3d(family="binary")
         n = model.n_qubits
-        g = emulator.complete_graph(n)
-        emb = emulator.identity_embedding(n)
+        g = complete_graph(n)
+        emb = identity_embedding(n)
         phys = sa.lower_to_physical(model, emb, g)
         # physical couplings = scale * logical couplings, fields likewise
         logical = {(i, j): float(v) for i, j, v in model.couplings}
@@ -189,13 +192,13 @@ class TestLowerToPhysical:
             m=0, adjacency=tuple(frozenset(a) for a in adj)
         )
         with pytest.raises(sa.EmbeddingError):
-            sa.lower_to_physical(model, emulator.identity_embedding(n), broken)
+            sa.lower_to_physical(model, identity_embedding(n), broken)
 
     def test_noise_seeded_and_applied_to_nonzero(self):
         _, model = compiled_3d(family="hamming")
         n = model.n_qubits
-        g = emulator.complete_graph(n)
-        emb = emulator.identity_embedding(n)
+        g = complete_graph(n)
+        emb = identity_embedding(n)
         noise = emulator.NoiseSpec(sigma_j=0.05, sigma_h=0.05, seed=11)
         a = sa.lower_to_physical(model, emb, g, noise)
         b = sa.lower_to_physical(model, emb, g, noise)
@@ -252,6 +255,96 @@ class TestSampler:
         with pytest.raises(ValueError):
             sa.sample(phys, reads=0, seed=1)
 
+    @pytest.mark.parametrize("sweeps", [0, -3])
+    def test_sweeps_validation(self, sweeps):
+        # zero sweeps used to return the unannealed random start state
+        with pytest.raises(ValueError, match="sweep"):
+            sa.AnnealParams(sweeps=sweeps)
+
+
+def noisy_embedded(family):
+    """3D lattice seed 0 lowered onto Chimera with sigma = 0.05 noise."""
+    _, model = compiled_3d(seed=0, family=family)
+    graph = sa.build_chimera(emulator.min_grid_for_clique(model.n_qubits))
+    emb = sa.embed_clique(model.n_qubits, graph, emulator.auto_chain_strength(model))
+    return sa.lower_to_physical(model, emb, graph, sa.NoiseSpec(0.05, 0.05, seed=0))
+
+
+@st.composite
+def tie_models(draw):
+    """Small graphs in any coupling order, with coefficients from a coarse
+    grid that includes zero, so many flips have an energy change of
+    exactly zero, and +-2^53, so a field's rounding depends on the order
+    of its terms."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    coeff = st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.0**53, -2.0**53])
+    couplings = tuple((i, j, draw(coeff)) for i, j in edges)
+    h = np.array([draw(coeff) for _ in range(n)])
+    return emulator.PhysicalModel(qubits=tuple(range(n)), h=h, couplings=couplings,
+                                  scale=1.0, chain_strength=1.0)
+
+
+class TestSamplerMatchesReference:
+    """The vectorised sampler reproduces the one-spin-at-a-time loop in
+    ``oracles.metropolis_reference`` exactly: same random streams, same
+    spins."""
+
+    @pytest.mark.parametrize("reads", [1, 3, 32])
+    @pytest.mark.parametrize("family", ["hamming", "binary"])
+    def test_embedded_noisy_models(self, family, reads):
+        phys = noisy_embedded(family)
+        params = sa.AnnealParams(sweeps=50)
+        got = sa.sample(phys, reads=reads, seed=17, params=params)
+        assert np.array_equal(got, reference_sample(phys, reads, 17, params))
+
+    def test_complete_graph(self):
+        # every pair of slots is coupled, so every run is a single slot
+        _, model = compiled_3d(seed=2, family="binary")
+        n = model.n_qubits
+        phys = sa.lower_to_physical(model, identity_embedding(n), complete_graph(n),
+                                    sa.NoiseSpec(0.05, 0.05, seed=1))
+        params = sa.AnnealParams(sweeps=50)
+        got = sa.sample(phys, reads=5, seed=3, params=params)
+        assert np.array_equal(got, reference_sample(phys, 5, 3, params))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(tie_models(), st.integers(1, 4), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_small_graphs_with_ties(self, phys, reads, sweeps, seed):
+        params = sa.AnnealParams(sweeps=sweeps)
+        got = sa.sample(phys, reads=reads, seed=seed, params=params)
+        assert np.array_equal(got, reference_sample(phys, reads, seed, params))
+
+
+class TestBoltzmann:
+    """At a fixed beta every sweep leaves the Boltzmann distribution
+    invariant, so after a burn-in the reads are exact Boltzmann samples."""
+
+    @settings(derandomize=True, max_examples=5, deadline=None)
+    @given(st.integers(2, 6), st.floats(1.0, 4.0), st.integers(0, 2**32 - 1))
+    def test_fixed_beta_reaches_boltzmann(self, n, spread, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        couplings = [(i, j, rng.uniform(-1, 1)) for i, j in pairs if rng.random() < 0.7]
+        h = rng.uniform(-1, 1, n)
+        energies, _ = enumerate_model_energies(h, couplings, n)
+        # beta spreads the Boltzmann weights over a factor exp(spread)
+        beta = spread / (energies.max() - energies.min())
+        p = np.exp(-beta * (energies - energies.min()))
+        p /= p.sum()
+
+        reads = 4000
+        seeds = np.random.SeedSequence(seed).generate_state(reads)
+        ptr, idx, val = neighbour_lists(n, couplings)
+        raw = _kernels.metropolis_reads(ptr, idx, val, h, np.full(100, beta), reads, seeds)
+
+        # configuration index in the enumeration's bit order (spin -1 is bit 1)
+        config = ((raw == -1) * (1 << np.arange(n))).sum(axis=1)
+        freq = np.bincount(config, minlength=1 << n) / reads
+        stderr = np.sqrt(p * (1 - p) / reads)
+        assert np.all(np.abs(freq - p) <= 5 * stderr)
+
 
 class TestDecodeMajority:
     def _setup(self):
@@ -285,7 +378,7 @@ class TestDecodeMajority:
         model = sa.compile_ising(
             sa.gram(sa.Basis(((1, 0), (0, 1)))), sa.QuditEncoding.binary(k=0)
         )
-        graph = emulator.complete_graph(4)
+        graph = complete_graph(4)
         emb = emulator.ChimeraEmbedding(chains=((0, 1), (2, 3)),
                                         chain_strength=1.0)
         phys = sa.lower_to_physical(model, emb, graph)
