@@ -3,11 +3,9 @@
 from . import cli, dynamics, emulator, encoding, experiments, lattice, spectrum
 from .dynamics import (
     IntegratorError,
-    ScanEntry,
     SweepResult,
     SweepSchedule,
     evolve,
-    sweep_scan,
 )
 from .emulator import (
     AnnealParams,
@@ -31,8 +29,6 @@ from .encoding import (
     QuditLayout,
     SpinConfig,
     compile_ising,
-    exhaustive_length_table,
-    ground_manifold_size,
     parse_encoding,
     problem_diagonal_ints,
     qudit_value,

@@ -180,8 +180,11 @@ def _cmd_emulate(args):
 def _load_outcome(payload, path):
     """The sample set, or the grouped distribution of a sweep file's last
     run, the last T of its sweep list."""
-    if payload["kind"] == "sample-results":
+    kind = payload.get("kind")
+    if kind == "sample-results":
         return emulator.SampleSet.from_json(payload)
+    if kind != "sweep-results":
+        raise SystemExit(f"{path}: not a sweep or sample results file")
     if not payload["runs"]:
         raise SystemExit(f"{path}: sweep file has no runs to score")
     return {int(k): float(v) for k, v in payload["runs"][-1]["grouped"].items()}
@@ -222,12 +225,13 @@ def _cmd_analyze(args):
 
 
 def _cmd_histogram(args):
-    with open(getattr(args, "in")) as f:
+    path = getattr(args, "in")
+    with open(path) as f:
         payload = json.load(f)
-    ss = emulator.SampleSet.from_json(payload)
+    outcome = _load_outcome(payload, path)
     inst = Instance.load(args.instance)
     oracle = brute_force_svp(Basis(hnf(inst.bad).rows), auto_box(inst.bad))
-    hist = experiments.histogram(ss, inst.bad, oracle)
+    hist = experiments.histogram(outcome, inst.bad, oracle)
     hist.to_csv(args.out)
     print(f"wrote {args.out} ({len(hist.bins)} bins, total {hist.total():g})")
 
@@ -264,8 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("encode", help="compile an instance to Ising coefficients")
     g.add_argument("--in", required=True)
     g.add_argument("--encoding", choices=["ham", "bin"], required=True)
-    g.add_argument("--range", help="qudit range lo:hi (use --range=-4:4)")
-    g.add_argument("--k", type=int, help="range exponent (alternative to --range)")
+    rng = g.add_mutually_exclusive_group(required=True)
+    rng.add_argument("--range", help="qudit range lo:hi (use --range=-4:4)")
+    rng.add_argument("--k", type=int, help="range exponent")
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_encode)
 
@@ -311,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_analyze)
 
-    g = sub.add_parser("histogram", help="length histogram of a sample set")
+    g = sub.add_parser(
+        "histogram",
+        help="length histogram of a sample set, or of a sweep file's last T",
+    )
     g.add_argument("--in", required=True)
     g.add_argument("--instance", required=True)
     g.add_argument("--out", required=True)

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .encoding import QuditEncoding, compile_ising
-from .lattice import Basis, Instance, gram
 from .spectrum import DriverSpec, ProblemDiagonal
 
 # radians of worst-case phase advanced per splitting window at the default
@@ -142,36 +140,6 @@ def evolve(
         grouped=grouped,
         norm_drift=drift,
     )
-
-
-@dataclass(frozen=True)
-class ScanEntry:
-    T: float
-    result: SweepResult | None
-    error: str | None = None
-
-
-def sweep_scan(
-    instance: Instance | Basis,
-    encoding: QuditEncoding,
-    T_list,
-    driver: DriverSpec = DriverSpec(),
-) -> list[ScanEntry]:
-    """One sweep per duration in T_list on the instance's input (bad)
-    basis; per-T integrator failures are recorded without aborting the
-    scan."""
-    if not len(T_list):
-        raise ValueError("T_list must be non-empty")
-    basis = instance.bad if isinstance(instance, Instance) else instance
-    diag = ProblemDiagonal.from_model(compile_ising(gram(basis), encoding))
-    entries: list[ScanEntry] = []
-    for T in T_list:
-        try:
-            res = evolve(diag, driver, SweepSchedule(T=float(T)))
-            entries.append(ScanEntry(T=float(T), result=res))
-        except IntegratorError as exc:
-            entries.append(ScanEntry(T=float(T), result=None, error=str(exc)))
-    return entries
 
 
 def parse_T_list(spec: str) -> list[float]:

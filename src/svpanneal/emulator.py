@@ -14,9 +14,8 @@ sum_{i<j} J_ij s_i s_j, so chain couplings are ferromagnetic when negative.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,23 +40,6 @@ class ChimeraGraph:
 
     m: int
     adjacency: tuple[frozenset[int], ...]
-
-    @property
-    def n_vertices(self) -> int:
-        return 8 * self.m * self.m
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
-    def edges(self):
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
 
 
 def chimera_index(m: int, row: int, col: int, side: int, k: int) -> int:
@@ -105,10 +87,6 @@ class ChimeraEmbedding:
     @property
     def n_logical(self) -> int:
         return len(self.chains)
-
-    @property
-    def n_physical(self) -> int:
-        return sum(len(c) for c in self.chains)
 
 
 def min_grid_for_clique(n_logical: int) -> int:
@@ -365,14 +343,6 @@ class SampleSet:
     def reads(self) -> int:
         return self.configs.shape[0]
 
-    def records(self):
-        for i in range(self.reads):
-            yield (
-                tuple(int(v) for v in self.configs[i]),
-                float(self.energies[i]),
-                float(self.chain_break_fraction[i]),
-            )
-
     def to_json(self) -> dict:
         return {
             "reads": self.reads,
@@ -387,10 +357,6 @@ class SampleSet:
             ],
         }
 
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f)
-
     @classmethod
     def from_json(cls, obj: dict) -> "SampleSet":
         samples = obj["samples"]
@@ -402,11 +368,6 @@ class SampleSet:
                 [s["chain_break_fraction"] for s in samples]
             ),
         )
-
-    @classmethod
-    def load(cls, path) -> "SampleSet":
-        with open(path) as f:
-            return cls.from_json(json.load(f))
 
 
 def decode_majority(

@@ -104,10 +104,6 @@ class QuditEncoding:
                 raise EncodingError("binary range bound must be a power of two")
         return cls("binary", -(2 ** (q - 1)), 2 ** (q - 1) - 1, q)
 
-    @property
-    def n_values(self) -> int:
-        return self.hi - self.lo + 1
-
     def spin_offset(self) -> Fraction:
         return Fraction(0) if self.family == "hamming" else Fraction(-1, 2)
 
@@ -191,13 +187,6 @@ class SpinConfig:
             raise EncodingError("spins must be +-1")
         object.__setattr__(self, "bits", bits)
 
-    @classmethod
-    def from_index(cls, c: int, n_qubits: int) -> "SpinConfig":
-        return cls(tuple(1 - 2 * ((c >> q) & 1) for q in range(n_qubits)))
-
-    def to_index(self) -> int:
-        return sum((1 - b) // 2 << q for q, b in enumerate(self.bits))
-
 
 @dataclass(frozen=True)
 class IsingModel:
@@ -210,9 +199,6 @@ class IsingModel:
     h: tuple[Fraction, ...]
     couplings: tuple[tuple[int, int, Fraction], ...]  # (i, j, J_ij) with i < j
     layout: QuditLayout
-
-    def coupling_map(self) -> dict[tuple[int, int], Fraction]:
-        return {(i, j): v for i, j, v in self.couplings}
 
     def energy(self, config: SpinConfig) -> Fraction:
         """Exact energy of a spin configuration."""
@@ -425,34 +411,6 @@ def problem_diagonal_ints(model: IsingModel, local=None) -> np.ndarray:
     if (flat % 4).any():
         raise EncodingError("compiled energies are not integers")
     return flat // 4
-
-
-def exhaustive_length_table(gram: GramMatrix, encoding: QuditEncoding) -> np.ndarray:
-    """Squared length of the decoded vector for every configuration,
-    evaluated directly from the qudit value maps and the Gram form (no
-    compiled coefficients involved); exact int64.  Raises
-    ResourceLimitError before allocating if the quadratic form could
-    overflow."""
-    n_dim = gram.dim
-    m = encoding.qubits_per_qudit
-    max_abs = max(-encoding.lo, encoding.hi)
-    max_g = max(abs(v) for row in gram.entries for v in row)
-    if (n_dim * max_abs) ** 2 * max_g >= _INT64_BOUND:
-        raise ResourceLimitError("coefficient range too large for exact int64 energies")
-    vals = encoding.local_values()
-    g = gram.as_array()
-    total = np.zeros([1 << m] * n_dim, dtype=np.int64)
-    for i in range(n_dim):
-        xi = vals.reshape(_broadcast_shape(n_dim, i, 1 << m))
-        for j in range(n_dim):
-            xj = vals.reshape(_broadcast_shape(n_dim, j, 1 << m))
-            total = total + g[i, j] * xi * xj
-    return total.reshape(-1)
-
-
-def ground_manifold_size(encoding: QuditEncoding, n_dim: int) -> int:
-    """Number of configurations decoding to the zero vector."""
-    return redundancy(encoding, 0) ** n_dim
 
 
 def coefficient_grid(encoding: QuditEncoding, n_dim: int) -> tuple[np.ndarray, np.ndarray]:

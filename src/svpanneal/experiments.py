@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SweepResult
 from .emulator import SampleSet
 from .encoding import QuditEncoding, coefficient_grid
 from .lattice import Basis, GramMatrix, OracleResult, gram
@@ -54,10 +53,9 @@ def basis_thresholds(g: GramMatrix) -> tuple[int, int]:
 
 
 def _length_distribution(outcome) -> dict[int, float]:
-    """Probability mass per exact squared length.  Accepts a SweepResult,
-    a SampleSet, or an already-grouped {length_sq: probability} mapping."""
-    if isinstance(outcome, SweepResult):
-        return dict(outcome.grouped)
+    """Probability mass per exact squared length.  Accepts a SampleSet or
+    an already-grouped {length_sq: probability} mapping, such as a sweep's
+    ``SweepResult.grouped``."""
     if isinstance(outcome, SampleSet):
         levels, counts = np.unique(outcome.lengths_sq, return_counts=True)
         total = outcome.reads
@@ -68,8 +66,8 @@ def _length_distribution(outcome) -> dict[int, float]:
 
 
 def figures_of_merit(outcome, basis: Basis, oracle: OracleResult) -> FourProbs:
-    """The four probabilities for a sweep distribution (exact) or a sample
-    set (empirical frequencies)."""
+    """The four probabilities for a grouped sweep distribution (exact) or a
+    sample set (empirical frequencies)."""
     g = gram(basis)
     dist = _length_distribution(outcome)
     lo, med = basis_thresholds(g)
@@ -80,23 +78,12 @@ def figures_of_merit(outcome, basis: Basis, oracle: OracleResult) -> FourProbs:
     return FourProbs(p_zero, p_shortest, p_min, p_med)
 
 
-def baseline(
-    basis: Basis,
-    encoding: QuditEncoding,
-    weighting: str = "configs",
-) -> tuple[float, float]:
+def baseline(basis: Basis, encoding: QuditEncoding) -> tuple[float, float]:
     """Uniform-sampling probabilities of drawing a vector shorter than the
-    min / median basis vector.
-
-    ``configs`` weights each spin configuration once (Hamming redundancy
-    counts); ``coefficients`` weights each coefficient vector once.
-    """
+    min / median basis vector, each spin configuration weighted once (so
+    Hamming redundancy counts)."""
     g = gram(basis)
     x, w = coefficient_grid(encoding, basis.dim)
-    if weighting == "coefficients":
-        w = np.ones_like(w)
-    elif weighting != "configs":
-        raise ValueError("weighting must be 'configs' or 'coefficients'")
     ga = g.as_array()
     lengths = np.einsum("ci,ij,cj->c", x, ga, x)
     lo, med = basis_thresholds(g)
@@ -119,12 +106,6 @@ class FoMRow:
 @dataclass(frozen=True)
 class FoMReport:
     rows: tuple[FoMRow, ...]
-
-    def cell(self, dim: int, encoding: str, fom: str) -> FoMRow:
-        for r in self.rows:
-            if (r.dim, r.encoding, r.fom) == (dim, encoding, fom):
-                return r
-        raise KeyError((dim, encoding, fom))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
@@ -193,10 +174,6 @@ class LengthHistogram:
 
     def total(self) -> float:
         return sum(self.bins.values())
-
-    def log_view(self) -> dict[float, float]:
-        """Natural log of squared length -> count; zero excluded."""
-        return {math.log(l): c for l, c in self.bins.items() if l > 0}
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as f:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,16 +80,6 @@ class Basis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64)
-
-    def vector(self, x) -> tuple[int, ...]:
-        """Lattice vector for an integer coefficient row x."""
-        n = self.dim
-        return tuple(
-            sum(int(x[i]) * self.rows[i][j] for i in range(n)) for j in range(n)
-        )
-
 
 @dataclass(frozen=True)
 class GramMatrix:
@@ -104,17 +94,6 @@ class GramMatrix:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=np.int64)
-
-    def row_length_sq(self, i: int) -> int:
-        return self.entries[i][i]
-
-    def length_sq(self, x) -> int:
-        """Exact squared length of the lattice vector with coefficients x."""
-        n = self.dim
-        g = self.entries
-        return sum(
-            int(x[i]) * int(x[j]) * g[i][j] for i in range(n) for j in range(n)
-        )
 
 
 @dataclass(frozen=True)
@@ -133,9 +112,6 @@ class HnfBasis:
     @property
     def covolume(self) -> int:
         return math.prod(self.pivots)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -302,13 +278,12 @@ _UNIMOD_ENTRY_CAP = 6
 _SHEAR_CAP = 3
 
 
-def random_unimodular(n: int, rng: np.random.Generator, n_ops: int | None = None) -> Rows:
-    """Random determinant +-1 matrix with entries in [-6, 6], built from
+def random_unimodular(n: int, rng: np.random.Generator) -> Rows:
+    """Random determinant +-1 matrix with entries in [-6, 6], built from 4n
     elementary row operations (swap, sign flip, shear); an operation that
     would push an entry past the cap is redrawn.
     """
-    if n_ops is None:
-        n_ops = 4 * n
+    n_ops = 4 * n
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     applied = 0
     attempts = 0
@@ -366,18 +341,14 @@ _DEFAULT_POINT_CAP = 10 ** 9
 _CHUNK = 1 << 18
 
 
-def brute_force_svp(
-    basis: Basis,
-    box: tuple[tuple[int, int], ...],
-    point_cap: int = _DEFAULT_POINT_CAP,
-    chunk: int = _CHUNK,
-) -> OracleResult:
+def brute_force_svp(basis: Basis, box: tuple[tuple[int, int], ...]) -> OracleResult:
     """Exhaustive shortest-vector search over a per-coordinate coefficient
     box.  Returns the minimum squared length over nonzero coefficient
     vectors and every minimizer, in lexicographic order.
 
-    The box is enumerated in fixed-size chunks; the result is independent
-    of the chunk size.
+    The box is enumerated in chunks of ``_CHUNK`` points; the result is
+    independent of the chunk size.  A box of more than
+    ``_DEFAULT_POINT_CAP`` points is refused before enumerating.
     """
     n = basis.dim
     if len(box) != n:
@@ -390,9 +361,11 @@ def brute_force_svp(
             raise LatticeError("box must contain the zero vector")
     sizes = [hi - lo + 1 for lo, hi in box]
     total = math.prod(sizes)
-    if total > point_cap:
+    if total == 1:
+        raise LatticeError("box holds no nonzero vector")
+    if total > _DEFAULT_POINT_CAP:
         raise ResourceLimitError(
-            f"box holds {total} points, above the cap of {point_cap}"
+            f"box holds {total} points, above the cap of {_DEFAULT_POINT_CAP}"
         )
 
     g = gram(basis).as_array()
@@ -410,8 +383,8 @@ def brute_force_svp(
 
     best = None
     best_x: list[tuple[int, ...]] = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         x = (idx[:, None] // strides[None, :]) % radix[None, :] + lows[None, :]
         e = np.einsum("ci,ij,cj->c", x, g, x)
         nonzero = np.any(x != 0, axis=1)

@@ -111,10 +111,6 @@ class ProblemDiagonal:
         """Sector dimension."""
         return self.values.size
 
-    def levels(self) -> np.ndarray:
-        """Distinct energies, ascending."""
-        return np.unique(self.values)
-
     @classmethod
     def from_model(cls, model: IsingModel) -> "ProblemDiagonal":
         """The sector of a compiled model, with energies evaluated exactly
@@ -177,17 +173,6 @@ class GapProfile:
         return float(self.s_grid[i]), float(gaps[i])
 
 
-def _grid(points) -> np.ndarray:
-    if np.isscalar(points):
-        if points < 3:
-            raise ValueError("need at least 3 grid points")
-        return np.linspace(0.0, 1.0, int(points))
-    g = np.asarray(points, dtype=np.float64)
-    if g.size < 3 or g[0] != 0.0 or g[-1] != 1.0 or np.any(np.diff(g) <= 0):
-        raise ValueError("grid must ascend from 0 to 1 with >= 3 points")
-    return g
-
-
 def sector_hamiltonian_parts(
     diag: ProblemDiagonal, driver: DriverSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -207,12 +192,13 @@ def sector_hamiltonian_parts(
     return drv, diag.values.astype(np.float64)
 
 
-def gap_scan(
-    diag: ProblemDiagonal, driver: DriverSpec, grid: int | np.ndarray = 33
-) -> GapProfile:
+def gap_scan(diag: ProblemDiagonal, driver: DriverSpec, grid: int = 33) -> GapProfile:
     """E0 and E1 of H(s) in the problem's qudit sector (the one
-    ``dynamics.evolve`` integrates) over an s grid from 0 to 1."""
-    sgrid = _grid(grid)
+    ``dynamics.evolve`` integrates) at ``grid`` evenly spaced points of s
+    from 0 to 1."""
+    if grid < 3:
+        raise ValueError("need at least 3 grid points")
+    sgrid = np.linspace(0.0, 1.0, int(grid))
     d = diag.dim
     if d > MAX_SECTOR_DIM:
         raise ResourceLimitError(
@@ -236,7 +222,7 @@ def sector_gap_scan(
     gram: GramMatrix,
     encoding: QuditEncoding,
     driver: DriverSpec,
-    grid: int | np.ndarray = 33,
+    grid: int = 33,
 ) -> GapProfile:
     """``gap_scan`` of the compiled lattice problem."""
     model = compile_ising(gram, encoding)

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import svpanneal as sa
+from oracles import exhaustive_length_table
 
 # ensemble encodings used across the acceptance-style tests: reduced Hamming
 # range so 3D instances stay at 12 qubits, the default binary range at 9
@@ -35,7 +36,7 @@ def screened_seeds_3d(count: int, start: int = 0, max_diag: int | None = 300):
         inst = sa.generate_instance(3, seed)
         if expressible(inst):
             if max_diag is not None:
-                d = sa.exhaustive_length_table(sa.gram(inst.bad), HAM3)
+                d = exhaustive_length_table(sa.gram(inst.bad), HAM3)
                 if int(d.max()) > max_diag:
                     seed += 1
                     continue

@@ -3,8 +3,11 @@
 Everything here deliberately avoids the code paths under test: lattice
 membership by exact rational elimination, shortest vectors by enumerating
 integer points of a ball, energies by per-configuration decoding with
-Fractions, spectra from explicitly assembled matrices, time evolution
-by a high-resolution Runge-Kutta integrator on the dense Hamiltonian, and
+Fractions, squared lengths straight from the Gram form (``length_sq`` for
+one coefficient vector, ``exhaustive_length_table`` for every
+configuration of an encoding, with no compiled coefficients involved),
+spectra from explicitly assembled matrices, time evolution by a
+high-resolution Runge-Kutta integrator on the dense Hamiltonian, and
 annealing reads by a one-spin-at-a-time Metropolis loop.  Also the test
 fixtures for the emulator: a complete stand-in graph and its identity
 embedding.
@@ -17,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from svpanneal.emulator import ChimeraEmbedding, ChimeraGraph
+from svpanneal.lattice import ResourceLimitError
 
 
 def integral_coefficients(basis_rows, vector):
@@ -97,6 +101,44 @@ def shortest_by_ball(hnf_rows):
 
     rec(0, 0)
     return best
+
+
+def length_sq(gram, x) -> int:
+    """Exact squared length of the lattice vector with coefficients x."""
+    n = gram.dim
+    g = gram.entries
+    return sum(
+        int(x[i]) * int(x[j]) * g[i][j] for i in range(n) for j in range(n)
+    )
+
+
+def _broadcast_shape(n_qudits, j, size):
+    # qudit n-1 on the first axis, qudit 0 on the last, so that flattening
+    # in C order makes qudit 0 the least significant digit
+    return [size if ax == n_qudits - 1 - j else 1 for ax in range(n_qudits)]
+
+
+def exhaustive_length_table(gram, encoding) -> np.ndarray:
+    """Squared length of the decoded vector for every configuration,
+    evaluated directly from the qudit value maps and the Gram form (no
+    compiled coefficients involved); exact int64.  Raises
+    ResourceLimitError before allocating if the quadratic form could
+    overflow."""
+    n_dim = gram.dim
+    m = encoding.qubits_per_qudit
+    max_abs = max(-encoding.lo, encoding.hi)
+    max_g = max(abs(v) for row in gram.entries for v in row)
+    if (n_dim * max_abs) ** 2 * max_g >= 2 ** 62:
+        raise ResourceLimitError("coefficient range too large for exact int64 energies")
+    vals = encoding.local_values()
+    g = gram.as_array()
+    total = np.zeros([1 << m] * n_dim, dtype=np.int64)
+    for i in range(n_dim):
+        xi = vals.reshape(_broadcast_shape(n_dim, i, 1 << m))
+        for j in range(n_dim):
+            xj = vals.reshape(_broadcast_shape(n_dim, j, 1 << m))
+            total = total + g[i, j] * xi * xj
+    return total.reshape(-1)
 
 
 def decode_energy(config_index, basis_rows, encoding):

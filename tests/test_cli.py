@@ -66,6 +66,21 @@ def test_oracle_radius_box(instance_file, capsys):
     assert payload["lambda1_sq"] == expect.lambda1_sq
 
 
+def test_oracle_zero_box_rejected(instance_file):
+    with pytest.raises(sa.LatticeError, match="no nonzero vector"):
+        run(["oracle", "--in", instance_file, "--box", 0])
+
+
+@pytest.mark.parametrize("flags", [[], ["--k", 1, "--range=-2:2"]])
+def test_encode_needs_exactly_one_range_flag(tmp_path, instance_file, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        run(["encode", "--in", instance_file, "--encoding", "ham",
+             "--out", tmp_path / "m.json"] + flags)
+    assert exc.value.code == 2
+    assert "--range" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_encode_round_trip(model_file):
     model = sa.IsingModel.load(model_file)
     assert model.n_qubits == 6
@@ -172,6 +187,22 @@ def test_emulate_and_histogram(tmp_path, instance_file, capsys):
     run(["histogram", "--in", samples, "--instance", instance_file,
          "--out", hist])
     assert "lambda1_sq" in hist.read_text()
+
+
+def test_histogram_of_sweep_file(tmp_path, model_file, instance_file, capsys):
+    res_path = tmp_path / "res.json"
+    run(["simulate", "--model", model_file, "--T", "1,4", "--out", res_path])
+    hist = tmp_path / "hist.csv"
+    run(["histogram", "--in", res_path, "--instance", instance_file, "--out", hist])
+    with open(hist) as f:
+        rows = list(csv.reader(f))
+    # the last T of the sweep file, as analyze scores it
+    grouped = json.loads(res_path.read_text())["runs"][-1]["grouped"]
+    bins = {int(r[0]): float(r[1]) for r in rows[1:rows.index([])]}
+    assert bins == pytest.approx({int(k): v for k, v in grouped.items()}, abs=1e-9)
+    with pytest.raises(SystemExit, match="model.json"):
+        run(["histogram", "--in", model_file, "--instance", instance_file,
+             "--out", hist])
 
 
 def test_emulate_refuses_zero_sweeps(tmp_path, model_file):

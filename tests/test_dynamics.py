@@ -155,34 +155,27 @@ class TestSectorPath:
 
 
 class TestSweepScan:
-    def test_scan_results_carry_T_labels(self):
-        inst, enc, _ = tiny_problem()
-        entries = sa.sweep_scan(inst, enc, [0.5, 1.0, 2.0])
-        assert [e.T for e in entries] == [0.5, 1.0, 2.0]
-        assert all(e.result is not None for e in entries)
+    """Sweeps over a list of durations on one diagonal, as CLI ``simulate``
+    runs them."""
 
     def test_scan_deterministic(self):
-        inst, enc, _ = tiny_problem()
-        a = sa.sweep_scan(inst, enc, [1.0, 4.0])
-        b = sa.sweep_scan(inst, enc, [1.0, 4.0])
-        for x, y in zip(a, b):
-            assert np.array_equal(x.result.probs, y.result.probs)
+        _, _, diag = tiny_problem()
+        for T in (1.0, 4.0):
+            a = sa.evolve(diag, sa.DriverSpec(), sa.SweepSchedule(T=T))
+            b = sa.evolve(diag, sa.DriverSpec(), sa.SweepSchedule(T=T))
+            assert np.array_equal(a.probs, b.probs)
 
     def test_scan_unitarity(self):
-        inst, enc, _ = tiny_problem(seed=7)
-        for e in sa.sweep_scan(inst, enc, [2.0 ** k for k in range(6)]):
-            assert sum(e.result.grouped.values()) == pytest.approx(1.0, abs=1e-6)
+        _, _, diag = tiny_problem(seed=7)
+        for k in range(6):
+            res = sa.evolve(diag, sa.DriverSpec(), sa.SweepSchedule(T=2.0 ** k))
+            assert sum(res.grouped.values()) == pytest.approx(1.0, abs=1e-6)
 
-    def test_per_T_errors_do_not_abort(self, monkeypatch):
+    def test_norm_drift_above_bound_raises(self, monkeypatch):
         monkeypatch.setattr(dynamics, "NORM_DRIFT_BOUND", -1.0)
-        inst, enc, _ = tiny_problem()
-        entries = sa.sweep_scan(inst, enc, [1.0, 2.0])
-        assert all(e.result is None and "drift" in e.error for e in entries)
-
-    def test_empty_T_list_rejected(self):
-        inst, enc, _ = tiny_problem()
-        with pytest.raises(ValueError):
-            sa.sweep_scan(inst, enc, [])
+        _, _, diag = tiny_problem()
+        with pytest.raises(sa.IntegratorError, match="drift"):
+            sa.evolve(diag, sa.DriverSpec(), sa.SweepSchedule(T=1.0))
 
 
 class TestScheduleParsing:

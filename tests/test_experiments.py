@@ -8,6 +8,8 @@ import svpanneal as sa
 from svpanneal import experiments
 from svpanneal.experiments import FoMRow, InstanceRecord, basis_thresholds
 
+from oracles import exhaustive_length_table, length_sq
+
 
 def oracle_for(inst):
     h = sa.hnf(inst.bad)
@@ -16,7 +18,7 @@ def oracle_for(inst):
 
 def uniform_distribution(inst, enc):
     g = sa.gram(inst.bad)
-    table = sa.exhaustive_length_table(g, enc)
+    table = exhaustive_length_table(g, enc)
     levels, counts = np.unique(table, return_counts=True)
     return {int(l): int(c) / table.size for l, c in zip(levels, counts)}
 
@@ -73,7 +75,7 @@ class TestFiguresOfMerit:
             sa.compile_ising(sa.gram(inst.bad), enc)
         )
         res = sa.evolve(diag, sa.DriverSpec(), sa.SweepSchedule(T=4.0))
-        probs = sa.figures_of_merit(res, inst.bad, oracle_for(inst))
+        probs = sa.figures_of_merit(res.grouped, inst.bad, oracle_for(inst))
         assert probs.p_zero == pytest.approx(res.p_zero)
 
     def test_sample_set_outcome(self):
@@ -110,7 +112,7 @@ class TestBaseline:
                 for x1 in range(lo, hi + 1):
                     for x2 in range(lo, hi + 1):
                         w = redund(x0) * redund(x1) * redund(x2)
-                        length = g.length_sq((x0, x1, x2))
+                        length = length_sq(g, (x0, x1, x2))
                         total += w
                         if 0 < length < lo_thr:
                             hits_min += w
@@ -127,8 +129,8 @@ class TestBaseline:
         assert bh != bb
         # the gap is bounded by the redundancy reweighting distance plus
         # the (small) coefficient-uniform difference of the two boxes
-        bh_u = sa.baseline(inst.bad, ham, weighting="coefficients")
-        bb_u = sa.baseline(inst.bad, binr, weighting="coefficients")
+        bh_u = double_count(-4, 4, lambda v: 1)
+        bb_u = double_count(-4, 3, lambda v: 1)
         tv = 0.5 * sum(
             abs(math.comb(8, 4 + v) / 2 ** 8 - 1 / 9) for v in range(-4, 5)
         )
@@ -136,17 +138,11 @@ class TestBaseline:
         for i in range(2):
             assert abs(bh[i] - bb[i]) <= tv3 + abs(bh_u[i] - bb_u[i]) + 1e-12
 
-    def test_weighting_modes(self):
-        inst = sa.generate_instance(2, 2)
-        enc = sa.QuditEncoding.hamming(rng=(-2, 2))
-        cfg = sa.baseline(inst.bad, enc, weighting="configs")
-        coef = sa.baseline(inst.bad, enc, weighting="coefficients")
-        assert cfg != coef  # redundancy reweights the box for hamming
-        binom = sa.QuditEncoding.binary(k=2)
-        assert (sa.baseline(inst.bad, binom, "configs")
-                == sa.baseline(inst.bad, binom, "coefficients"))
-        with pytest.raises(ValueError):
-            sa.baseline(inst.bad, enc, weighting="other")
+
+def cell(report, fom):
+    """The report row of the 3D Hamming cell for one figure of merit."""
+    (row,) = [r for r in report.rows if (r.dim, r.encoding, r.fom) == (3, "hamming", fom)]
+    return row
 
 
 class TestAggregate:
@@ -160,12 +156,12 @@ class TestAggregate:
         recs = [self._rec((0.5, 0.2, 0.3, 0.4)) for _ in range(5)]
         report = sa.aggregate(recs)
         for name in experiments.FOM_NAMES:
-            row = report.cell(3, "hamming", name)
+            row = cell(report, name)
             assert row.stderr == 0.0
 
     def test_two_point_formula(self):
         recs = [self._rec((0.0, 0, 0, 0)), self._rec((1.0, 0, 0, 0))]
-        row = sa.aggregate(recs).cell(3, "hamming", "p_zero")
+        row = cell(sa.aggregate(recs), "p_zero")
         assert row.mean == pytest.approx(0.5)
         assert row.stderr == pytest.approx(0.5)  # std(ddof=1)/sqrt(2)
 
@@ -175,16 +171,16 @@ class TestAggregate:
         report = sa.aggregate(recs)
         for name in experiments.FOM_NAMES:
             vals = [getattr(r.probs, name) for r in recs]
-            row = report.cell(3, "hamming", name)
+            row = cell(report, name)
             assert min(vals) <= row.mean <= max(vals)
 
     def test_baselines_attached_to_last_two_foms(self):
         recs = [self._rec((0.1, 0.1, 0.1, 0.1), base=(0.02, 0.08))
                 for _ in range(3)]
         report = sa.aggregate(recs)
-        assert report.cell(3, "hamming", "p_zero").baseline is None
-        assert report.cell(3, "hamming", "p_shorter_min").baseline == 0.02
-        assert report.cell(3, "hamming", "p_shorter_median").baseline == 0.08
+        assert cell(report, "p_zero").baseline is None
+        assert cell(report, "p_shorter_min").baseline == 0.02
+        assert cell(report, "p_shorter_median").baseline == 0.08
 
     def test_single_instance_cell_rejected(self):
         with pytest.raises(ValueError):
@@ -225,12 +221,6 @@ class TestHistogram:
         assert hist.basis_lengths_sq == tuple(
             g.entries[i][i] for i in range(3)
         )
-
-    def test_log_view_excludes_zero(self):
-        inst = sa.generate_instance(3, 2)
-        hist = sa.histogram({0: 0.5, 4: 0.5}, inst.bad, oracle_for(inst))
-        lv = hist.log_view()
-        assert set(lv) == {math.log(4)}
 
     def test_csv(self, tmp_path):
         inst = sa.generate_instance(3, 2)

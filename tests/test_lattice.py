@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import svpanneal as sa
+from svpanneal import lattice
 from svpanneal.lattice import det_exact
 
 from oracles import integral_coefficients, shortest_by_ball
@@ -178,19 +179,25 @@ def test_brute_force_witness_symmetry_and_order():
             assert neg in res.witnesses  # box symmetric, so -w is inside
 
 
-def test_brute_force_chunk_independent():
+def test_brute_force_chunk_independent(monkeypatch):
     inst = sa.generate_instance(3, 11)
     box = ((-4, 4),) * 3
-    a = sa.brute_force_svp(inst.bad, box, chunk=7)
-    b = sa.brute_force_svp(inst.bad, box, chunk=1 << 18)
+    b = sa.brute_force_svp(inst.bad, box)
+    monkeypatch.setattr(lattice, "_CHUNK", 7)
+    a = sa.brute_force_svp(inst.bad, box)
     assert a == b
 
 
-def test_brute_force_point_cap():
+def test_brute_force_point_cap(monkeypatch):
+    monkeypatch.setattr(lattice, "_DEFAULT_POINT_CAP", 100)
     with pytest.raises(sa.ResourceLimitError):
-        sa.brute_force_svp(
-            sa.Basis(((1, 0), (0, 1))), ((-10, 10), (-10, 10)), point_cap=100
-        )
+        sa.brute_force_svp(sa.Basis(((1, 0), (0, 1))), ((-10, 10), (-10, 10)))
+
+
+def test_brute_force_zero_only_box_rejected():
+    # the zero vector alone holds no candidate for a shortest vector
+    with pytest.raises(sa.LatticeError, match="no nonzero vector"):
+        sa.brute_force_svp(sa.Basis(((1, 0), (0, 1))), ((0, 0), (0, 0)))
 
 
 def test_brute_force_asymmetric_box_contains_zero():
