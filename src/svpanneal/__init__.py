@@ -1,6 +1,6 @@
 """Lattice shortest-vector instances compiled to Ising annealing."""
 
-from . import cli, dynamics, emulator, encoding, experiments, lattice, spectrum
+from . import dynamics, emulator, encoding, experiments, lattice, spectrum
 from .dynamics import (
     IntegratorError,
     SweepResult,

@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands cover the full pipeline: instance generation, HNF/bound
-inspection, the exact oracle, Ising compilation, gap scans, ideal sweep
-simulation, noisy Chimera emulation, and figure-of-merit analysis.  All
-outputs are JSON or plain CSV.
+inspection, the exact box-bounded oracle, Ising compilation, gap scans,
+ideal sweep simulation, noisy Chimera emulation, and figure-of-merit
+analysis.  All outputs are JSON or plain CSV.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import emulator, experiments
-from .dynamics import DriverSpec, SweepSchedule, evolve, parse_T_list
+from .dynamics import DriverSpec, IntegratorError, SweepSchedule, evolve, parse_T_list
 from .encoding import IsingModel, compile_ising, parse_encoding
 from .lattice import (
     Basis,
@@ -112,13 +112,22 @@ def _cmd_gap_scan(args):
 
 
 def _cmd_simulate(args):
+    """Sweep every T of the list; a T whose integration fails is recorded
+    under "failed" and the rest still run, the file is written, and the
+    command exits 1."""
     T_list = parse_T_list(args.T)
     model = IsingModel.load(args.model)
     diag = ProblemDiagonal.from_model(model)
     driver = DriverSpec(h0=args.h0)
     runs = []
+    failed = []
     for T in T_list:
-        res = evolve(diag, driver, SweepSchedule(T=T))
+        try:
+            res = evolve(diag, driver, SweepSchedule(T=T))
+        except IntegratorError as exc:
+            failed.append({"T": T, "error": str(exc)})
+            print(f"T={T:10.3f}  failed: {exc}", file=sys.stderr)
+            continue
         runs.append(
             {
                 "T": T,
@@ -136,11 +145,18 @@ def _cmd_simulate(args):
         "encoding": model.to_json()["layout"],
         "runs": runs,
     }
+    if failed:
+        payload["failed"] = failed
     if args.instance:
         payload["instance"] = Instance.load(args.instance).to_json()
     with open(args.out, "w") as f:
         json.dump(payload, f, indent=1)
     print(f"wrote {args.out}")
+    if failed:
+        bad = ", ".join(f"{fail['T']:g}" for fail in failed)
+        print(f"sweep failed at T={bad}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_emulate(args):
@@ -259,7 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--encoding", choices=["ham", "bin"], required=True)
     g.set_defaults(func=_cmd_bound)
 
-    g = sub.add_parser("oracle", help="exhaustive shortest-vector search")
+    g = sub.add_parser(
+        "oracle",
+        help="shortest vector by enumeration bounded by a coefficient box",
+    )
     g.add_argument("--in", required=True)
     g.add_argument("--box", default="auto",
                    help="'auto' (sufficiency intervals on the HNF) or a radius")
@@ -330,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.func(args)
-    return 0
+    return args.func(args) or 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Integer-lattice algebra: bases, Gram matrices, HNF, qubit budgets, instance
-generation, and an exhaustive shortest-vector oracle.
+generation, and a shortest-vector oracle that enumerates a coefficient box.
 
 All matrix arithmetic in this module is exact (Python integers); floating
 point appears only in the Minkowski/budget formulas, which are real-valued
-by definition.
+by definition, and in the oracle's pruning bounds, which never decide an
+energy.
 """
 from __future__ import annotations
 
@@ -338,17 +339,48 @@ def generate_instance(n: int, seed: int) -> Instance:
 
 
 _DEFAULT_POINT_CAP = 10 ** 9
-_CHUNK = 1 << 18
+# prune slack >> ~n*eps*bound, the float error of any partial sum (bound >= |x|^T|G||x| in the box)
+_REL_SLACK = 1e-9
+_ABS_SLACK = 1e-6
+
+
+def _gram_schmidt(g: Rows) -> tuple[list[float], list[list[float]]]:
+    """Float factors of x^T G x = sum_j q[j] * (x_j + sum_{i>j} mu[i][j] x_i)^2.
+
+    The squared Gram-Schmidt norms q and coefficients mu come from exact
+    integral Gram-Schmidt on the Gram matrix (Cohen, Alg. 2.6.7) and are
+    each rounded once, so every q is positive however ill-conditioned G is.
+    """
+    n = len(g)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = g[i][j]
+            for k in range(j):
+                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+    q = [d[j + 1] / d[j] for j in range(n)]
+    mu = [[lam[i][j] / d[j + 1] for j in range(n)] for i in range(n)]
+    return q, mu
 
 
 def brute_force_svp(basis: Basis, box: tuple[tuple[int, int], ...]) -> OracleResult:
-    """Exhaustive shortest-vector search over a per-coordinate coefficient
-    box.  Returns the minimum squared length over nonzero coefficient
-    vectors and every minimizer, in lexicographic order.
+    """Shortest-vector search bounded by a per-coordinate coefficient box.
+    Returns the minimum squared length over nonzero coefficient vectors in
+    the box and every minimizer, in lexicographic order.
 
-    The box is enumerated in chunks of ``_CHUNK`` points; the result is
-    independent of the chunk size.  A box of more than
-    ``_DEFAULT_POINT_CAP`` points is refused before enumerating.
+    Depth-first Fincke-Pohst enumeration from the last coordinate down:
+    each coordinate runs over its box interval cut to the interval around
+    its centre that keeps the partial sum within the radius.  The radius
+    starts at the smallest G_ii whose unit vector lies in the box and
+    shrinks to the best exact energy found, inclusively, so ties survive.
+    Float factors only prune (with a slack); every leaf's energy is exact.
+    A box of more than ``_DEFAULT_POINT_CAP`` points is refused before
+    enumerating.
     """
     n = basis.dim
     if len(box) != n:
@@ -359,8 +391,7 @@ def brute_force_svp(basis: Basis, box: tuple[tuple[int, int], ...]) -> OracleRes
             raise LatticeError("empty box interval")
         if lo > 0 or hi < 0:
             raise LatticeError("box must contain the zero vector")
-    sizes = [hi - lo + 1 for lo, hi in box]
-    total = math.prod(sizes)
+    total = math.prod(hi - lo + 1 for lo, hi in box)
     if total == 1:
         raise LatticeError("box holds no nonzero vector")
     if total > _DEFAULT_POINT_CAP:
@@ -368,37 +399,40 @@ def brute_force_svp(basis: Basis, box: tuple[tuple[int, int], ...]) -> OracleRes
             f"box holds {total} points, above the cap of {_DEFAULT_POINT_CAP}"
         )
 
-    g = gram(basis).as_array()
-    # overflow guard for the int64 quadratic form
+    g = gram(basis).entries
+    # energies past int64 are refused: the package keeps energy arrays as int64
     max_abs = max(max(abs(lo), abs(hi)) for lo, hi in box)
-    bound = (n * max_abs) ** 2 * int(np.abs(g).max())
+    bound = (n * max_abs) ** 2 * max(abs(v) for row in g for v in row)
     if bound >= 2 ** 62:
         raise ResourceLimitError("coefficient box too large for exact int64 energies")
 
-    lows = np.array([lo for lo, _ in box], dtype=np.int64)
-    radix = np.array(sizes, dtype=np.int64)
-    strides = np.ones(n, dtype=np.int64)
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * radix[i + 1]
-
-    best = None
+    q, mu = _gram_schmidt(g)
+    slack = _REL_SLACK * bound + _ABS_SLACK
+    best = min(g[i][i] for i, (lo, hi) in enumerate(box) if lo < 0 or hi > 0)
     best_x: list[tuple[int, ...]] = []
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        x = (idx[:, None] // strides[None, :]) % radix[None, :] + lows[None, :]
-        e = np.einsum("ci,ij,cj->c", x, g, x)
-        nonzero = np.any(x != 0, axis=1)
-        if not nonzero.any():
-            continue
-        e_nz = e[nonzero]
-        x_nz = x[nonzero]
-        m = int(e_nz.min())
-        if best is None or m < best:
-            best = m
-            best_x = [tuple(int(v) for v in row) for row in x_nz[e_nz == m]]
-        elif m == best:
-            best_x.extend(tuple(int(v) for v in row) for row in x_nz[e_nz == m])
-    assert best is not None and best > 0
+    x = [0] * n
+
+    def visit(j: int, partial: float) -> None:
+        nonlocal best, best_x
+        c = -sum(mu[i][j] * x[i] for i in range(j + 1, n))
+        w = math.sqrt(max(best + slack - partial, 0.0) / q[j])
+        lo, hi = box[j]
+        for v in range(max(lo, math.ceil(c - w)), min(hi, math.floor(c + w)) + 1):
+            t = partial + q[j] * (v - c) ** 2
+            if t > best + slack:
+                continue
+            x[j] = v
+            if j:
+                visit(j - 1, t)
+            elif any(x):
+                e = sum(g[a][b] * x[a] * x[b] for a in range(n) for b in range(n))
+                if e < best:
+                    best, best_x = e, [tuple(x)]
+                elif e == best:
+                    best_x.append(tuple(x))
+        x[j] = 0
+
+    visit(n - 1, 0.0)
     return OracleResult(
         lambda1_sq=best, witnesses=tuple(sorted(best_x)), search_box=box
     )

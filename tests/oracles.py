@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: lattice
 membership by exact rational elimination, shortest vectors by enumerating
-integer points of a ball, energies by per-configuration decoding with
-Fractions, squared lengths straight from the Gram form (``length_sq`` for
+integer points of a ball or by scanning every point of a coefficient box,
+energies by per-configuration decoding with Fractions, squared lengths straight from the Gram form (``length_sq`` for
 one coefficient vector, ``exhaustive_length_table`` for every
 configuration of an encoding, with no compiled coefficients involved),
 spectra from explicitly assembled matrices, time evolution by a
@@ -19,8 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from svpanneal import lattice
 from svpanneal.emulator import ChimeraEmbedding, ChimeraGraph
-from svpanneal.lattice import ResourceLimitError
+from svpanneal.lattice import LatticeError, OracleResult, ResourceLimitError
 
 
 def integral_coefficients(basis_rows, vector):
@@ -101,6 +102,67 @@ def shortest_by_ball(hnf_rows):
 
     rec(0, 0)
     return best
+
+
+_CHUNK = 1 << 18
+
+
+def box_svp_reference(basis, box):
+    """``lattice.brute_force_svp`` by scanning every point of the box in
+    numpy chunks of ``_CHUNK`` points: the minimum nonzero x^T G x and every
+    minimizer in lexicographic order, with the same refusals."""
+    n = basis.dim
+    if len(box) != n:
+        raise LatticeError("box dimension mismatch")
+    box = tuple((int(lo), int(hi)) for lo, hi in box)
+    for lo, hi in box:
+        if lo > hi:
+            raise LatticeError("empty box interval")
+        if lo > 0 or hi < 0:
+            raise LatticeError("box must contain the zero vector")
+    sizes = [hi - lo + 1 for lo, hi in box]
+    total = math.prod(sizes)
+    if total == 1:
+        raise LatticeError("box holds no nonzero vector")
+    if total > lattice._DEFAULT_POINT_CAP:
+        raise ResourceLimitError(
+            f"box holds {total} points, above the cap of {lattice._DEFAULT_POINT_CAP}"
+        )
+
+    g = lattice.gram(basis).as_array()
+    # overflow guard for the int64 quadratic form
+    max_abs = max(max(abs(lo), abs(hi)) for lo, hi in box)
+    bound = (n * max_abs) ** 2 * int(np.abs(g).max())
+    if bound >= 2 ** 62:
+        raise ResourceLimitError("coefficient box too large for exact int64 energies")
+
+    lows = np.array([lo for lo, _ in box], dtype=np.int64)
+    radix = np.array(sizes, dtype=np.int64)
+    strides = np.ones(n, dtype=np.int64)
+    for i in range(n - 2, -1, -1):
+        strides[i] = strides[i + 1] * radix[i + 1]
+
+    best = None
+    best_x = []
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        x = (idx[:, None] // strides[None, :]) % radix[None, :] + lows[None, :]
+        e = np.einsum("ci,ij,cj->c", x, g, x)
+        nonzero = np.any(x != 0, axis=1)
+        if not nonzero.any():
+            continue
+        e_nz = e[nonzero]
+        x_nz = x[nonzero]
+        m = int(e_nz.min())
+        if best is None or m < best:
+            best = m
+            best_x = [tuple(int(v) for v in row) for row in x_nz[e_nz == m]]
+        elif m == best:
+            best_x.extend(tuple(int(v) for v in row) for row in x_nz[e_nz == m])
+    assert best is not None and best > 0
+    return OracleResult(
+        lambda1_sq=best, witnesses=tuple(sorted(best_x)), search_box=box
+    )
 
 
 def length_sq(gram, x) -> int:

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import svpanneal as sa
+from svpanneal import cli
 from svpanneal.cli import main
 from svpanneal.encoding import coefficient_grid
 
@@ -134,6 +139,33 @@ def test_simulate_results(tmp_path, model_file, instance_file, capsys):
     for r in payload["runs"]:
         total = sum(float(v) for v in r["grouped"].values())
         assert abs(total - 1.0) < 1e-6
+
+
+def test_simulate_keeps_finished_T_when_one_fails(tmp_path, model_file, monkeypatch, capsys):
+    evolve = cli.evolve
+
+    def fail_at_2(diag, driver, schedule):
+        if schedule.T == 2:
+            raise sa.IntegratorError("norm drift 1e-3 exceeds 1e-09")
+        return evolve(diag, driver, schedule)
+
+    monkeypatch.setattr(cli, "evolve", fail_at_2)
+    out = tmp_path / "results.json"
+    assert run(["simulate", "--model", model_file, "--T", "1,2,4", "--out", out]) == 1
+    assert "T=2" in capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    assert [r["T"] for r in payload["runs"]] == [1, 4]
+    assert payload["failed"] == [{"T": 2, "error": "norm drift 1e-3 exceeds 1e-09"}]
+
+
+def test_module_entry_point_runs_without_warnings():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "svpanneal.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_hamming_30_qubits_run_in_the_sector(tmp_path):

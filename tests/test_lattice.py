@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import svpanneal as sa
 from svpanneal import lattice
 from svpanneal.lattice import det_exact
 
-from oracles import integral_coefficients, shortest_by_ball
+from oracles import box_svp_reference, integral_coefficients, shortest_by_ball
 
 
 def test_gram_identity():
@@ -179,13 +180,74 @@ def test_brute_force_witness_symmetry_and_order():
             assert neg in res.witnesses  # box symmetric, so -w is inside
 
 
-def test_brute_force_chunk_independent(monkeypatch):
+def test_brute_force_equals_reference_3d_seed_11():
     inst = sa.generate_instance(3, 11)
     box = ((-4, 4),) * 3
-    b = sa.brute_force_svp(inst.bad, box)
-    monkeypatch.setattr(lattice, "_CHUNK", 7)
-    a = sa.brute_force_svp(inst.bad, box)
-    assert a == b
+    assert sa.brute_force_svp(inst.bad, box) == box_svp_reference(inst.bad, box)
+
+
+@st.composite
+def bases_and_boxes(draw):
+    """A nonsingular 2D-5D integer basis, in its raw or its HNF frame, and
+    a box holding zero and at least one nonzero vector (often asymmetric)."""
+    n = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(det_exact(rows) != 0)
+    basis = sa.Basis(rows)
+    if draw(st.booleans()):
+        basis = sa.Basis(sa.hnf(basis).rows)
+    box = draw(st.lists(st.tuples(st.integers(-3, 0), st.integers(0, 3)),
+                        min_size=n, max_size=n))
+    assume(any(box_lo or box_hi for box_lo, box_hi in box))
+    return basis, tuple(box)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(bases_and_boxes())
+def test_brute_force_equals_reference_property(case):
+    basis, box = case
+    assert sa.brute_force_svp(basis, box) == box_svp_reference(basis, box)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_brute_force_equals_reference_oracle_7d(seed):
+    # the benchmark's oracle-7d job: HNF frame, auto box of ~10^6 points
+    inst = sa.generate_instance(7, seed)
+    basis, box = sa.Basis(sa.hnf(inst.bad).rows), sa.auto_box(inst.bad)
+    assert sa.brute_force_svp(basis, box) == box_svp_reference(basis, box)
+
+
+@pytest.mark.parametrize("rows", [
+    # G = [[1, N], [N, N^2 + 1]]: a float factorisation of G loses the last
+    # pivot (N^2 + 1 - N^2 rounds to 0); the exact one keeps it at 1
+    ((1, 0), (10 ** 8, 1)),
+    # lengths 2^54 and 2^54 + 1, equal as floats: only exact leaf energies
+    # keep the second row out of the witnesses
+    ((2 ** 27, 0), (1, 2 ** 27)),
+])
+def test_brute_force_exact_where_floats_fail(rows):
+    basis = sa.Basis(rows)
+    box = ((-1, 1), (-1, 1))
+    res = sa.brute_force_svp(basis, box)
+    assert res == box_svp_reference(basis, box)
+    assert res.witnesses == ((-1, 0), (1, 0))
+
+
+@pytest.mark.parametrize("basis, box", [
+    (((1, 0), (0, 1)), ((-1, 1),)),
+    (((1, 0), (0, 1)), ((1, -1), (-1, 1))),
+    (((1, 0), (0, 1)), ((1, 3), (-1, 1))),
+    (((1, 0), (0, 1)), ((0, 0), (0, 0))),
+    (((1, 0), (0, 1)), ((-10 ** 5, 10 ** 5), (-10 ** 5, 10 ** 5))),
+    (((2 * 10 ** 6, 0), (0, 1)), ((-10 ** 3, 10 ** 3), (-1, 1))),
+])
+def test_brute_force_refusals_match_reference(basis, box):
+    basis = sa.Basis(basis)
+    with pytest.raises((sa.LatticeError, sa.ResourceLimitError)) as want:
+        box_svp_reference(basis, box)
+    with pytest.raises(type(want.value), match=str(want.value)):
+        sa.brute_force_svp(basis, box)
 
 
 def test_brute_force_point_cap(monkeypatch):
