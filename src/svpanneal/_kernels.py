@@ -1,13 +1,13 @@
 """Hot loops for the sweep propagator and the annealing sampler.
 
 The sweep propagator is vectorized numpy on a tensor product of small
-per-qudit local spaces (the qudit sector of ``spectrum.ProblemDiagonal``).
+per-qudit local spaces (the qudit sector of ``spectrum.ProblemDiagonal``),
+in the computational basis: per substep one GEMM per qudit axis between two
+state buffers, then one multiply by the problem phase.
 The sampler is vectorized numpy over reads, one seeded anneal per read,
 bit-identical to updating one spin of one read at a time.
 """
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 
@@ -18,7 +18,7 @@ HAVE_NUMBA = False
 # fourth-order step
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
-# phase factors the propagator tabulates at once (1 MiB per table)
+# entries per table of phase factors or propagators (1 MiB of complex)
 _PHASE_BLOCK = 1 << 16
 # sweeps per refill of the sampler's per-read buffers of uniform draws
 _DRAW_BLOCK = 16
@@ -37,50 +37,57 @@ def _substeps(h0, T, windows):
     return theta, sub * s_frac
 
 
-def _each_axis(x: np.ndarray, mat: np.ndarray, shapes) -> np.ndarray:
-    """Apply the real d x d matrix along every axis of the flat complex
-    tensor x, one broadcast matmul per axis on the interleaved real view;
-    ``shapes`` holds (d**a, d, -1) for every axis a."""
-    r = x.view(np.float64)
-    for shape in shapes:
-        r = np.matmul(mat, r.reshape(shape))
-    return r.reshape(-1).view(np.complex128)
+def _each_qudit(a: np.ndarray, b: np.ndarray, u: np.ndarray, n_axes: int):
+    """Apply the symmetric d x d matrix u along every axis of the flat
+    tensor a, one GEMM per axis into the other buffer; returns the pair
+    (result, spare).  Each GEMM moves the axis it applies to from first to
+    last, so after ``n_axes`` of them the axes are back in order."""
+    d = u.shape[0]
+    for _ in range(n_axes):
+        np.matmul(a.reshape(d, -1).T, u, out=b.reshape(-1, d))
+        a, b = b, a
+    return a, b
 
 
 def yoshida_sweep_sector(psi, diag, local, h0, T, windows):
     """Propagate psi through the linear sweep with `windows` fourth-order
     splitting steps on a tensor product of local spaces; returns the final
-    state.  psi (complex) and diag have shape (d,) * N, one axis per qudit,
+    state.  psi and diag have shape (d,) * N, one axis per qudit,
     and every qudit's transverse field is the real symmetric d x d matrix
     ``local``.
 
-    The state stays in the eigenbasis of ``local``, where the driver is
-    diagonal, so adjacent driver half-steps merge into one phase; each
-    problem step rotates to the computational basis and back.
+    The state stays in the computational basis.  Adjacent driver half-steps
+    merge into one angle alpha_k, so a substep is the complex symmetric
+    driver propagator U_k = vec diag(exp(i alpha_k lam)) vec^T along every
+    qudit axis, then the problem phase exp(-i phi_k E), taken over the
+    distinct energies only.  Both are tabulated for a block of substeps at
+    a time.
     """
     n_axes = diag.ndim
-    diag = diag.reshape(-1)
-    d = local.shape[0]
-    shapes = [(d ** a, d, -1) for a in range(n_axes)]
     lam, vec = np.linalg.eigh(local)
-    lam_all = reduce(np.add.outer, [lam] * n_axes).reshape(-1)
+    d = lam.size
+    energies, inverse = np.unique(diag.reshape(-1), return_inverse=True)
     theta, phi = _substeps(h0, T, windows)
     # driver angle before each problem step, then the closing half-step
     alpha = np.append(theta, 0.0)
     alpha[1:] += theta
-    x = _each_axis(psi.reshape(-1), vec.T, shapes)
-    # phases are tabulated for a block of substeps at a time
-    block = max(1, _PHASE_BLOCK // diag.size)
+    a = psi.astype(np.complex128).reshape(-1)
+    b = np.empty_like(a)
+    # a block's tables hold at most _PHASE_BLOCK entries each, or one substep's
+    block = max(1, _PHASE_BLOCK // max(a.size, d * d))
+    prob = np.empty((block, a.size), np.complex128)
     for k in range(0, phi.size, block):
-        drv = np.exp(1j * np.multiply.outer(alpha[k:k + block], lam_all))
-        prob = np.exp(-1j * np.multiply.outer(phi[k:k + block], diag))
-        for d_ph, p_ph in zip(drv, prob):
-            x *= d_ph
-            y = _each_axis(x, vec, shapes)
-            y *= p_ph
-            x = _each_axis(y, vec.T, shapes)
-    x *= np.exp(1j * alpha[-1] * lam_all)
-    return _each_axis(x, vec, shapes).reshape(psi.shape)
+        ph = phi[k:k + block]
+        drv = np.exp(1j * np.multiply.outer(alpha[k:k + ph.size], lam))
+        props = np.matmul(vec * drv[:, None, :], vec.T)
+        # mode="clip" writes straight into out (indices are in range)
+        np.take(np.exp(-1j * np.multiply.outer(ph, energies)),
+                inverse, axis=1, out=prob[:ph.size], mode="clip")
+        for u, p_ph in zip(props, prob):
+            a, b = _each_qudit(a, b, u, n_axes)
+            a *= p_ph
+    closing = (vec * np.exp(1j * alpha[-1] * lam)) @ vec.T
+    return _each_qudit(a, b, closing, n_axes)[0].reshape(psi.shape)
 
 
 def _independent_runs(nbr_ptr, nbr_idx):

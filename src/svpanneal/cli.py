@@ -61,8 +61,8 @@ def _cmd_bound(args):
 def _cmd_oracle(args):
     inst = Instance.load(getattr(args, "in"))
     if args.box == "auto":
-        basis = Basis(hnf(inst.bad).rows)
-        box = auto_box(inst.bad)
+        h = hnf(inst.bad)
+        basis, box = Basis(h.rows), auto_box(h)
         frame = "hnf"
     else:
         r = int(args.box)
@@ -220,9 +220,8 @@ def _cmd_analyze(args):
         inst = Instance.from_json(payload["instance"])
         lay = payload["encoding"]
         enc = parse_encoding(lay["family"], rng=(lay["lo"], lay["hi"]))
-        oracle = brute_force_svp(
-            Basis(hnf(inst.bad).rows), auto_box(inst.bad)
-        )
+        h = hnf(inst.bad)
+        oracle = brute_force_svp(Basis(h.rows), auto_box(h))
         outcome = _load_outcome(payload, path)
         probs = experiments.figures_of_merit(outcome, inst.bad, oracle)
         records.append(
@@ -246,7 +245,8 @@ def _cmd_histogram(args):
         payload = json.load(f)
     outcome = _load_outcome(payload, path)
     inst = Instance.load(args.instance)
-    oracle = brute_force_svp(Basis(hnf(inst.bad).rows), auto_box(inst.bad))
+    h = hnf(inst.bad)
+    oracle = brute_force_svp(Basis(h.rows), auto_box(h))
     hist = experiments.histogram(outcome, inst.bad, oracle)
     hist.to_csv(args.out)
     print(f"wrote {args.out} ({len(hist.bins)} bins, total {hist.total():g})")

@@ -6,7 +6,10 @@ final measurement distribution grouped by squared lattice-vector length.
 
 The propagator is a fourth-order splitting: both factors (diagonal phase and
 per-qudit driver rotations) are applied exactly, so every step is unitary
-and norm drift is limited to float roundoff.  The default window count
+and norm drift is limited to float roundoff.  The state stays in the
+computational basis: a substep applies one complex d x d driver propagator
+along every qudit axis, then the problem phase, taken over the distinct
+energies only (``_kernels.yoshida_sweep_sector``).  The default window count
 scales with T * (max problem energy + h0 * n), which bounds the phase
 advanced per window, n being the real qubit count.  Every problem is
 integrated on its one representation, the qudit sector of
@@ -29,8 +32,10 @@ from .spectrum import DriverSpec, ProblemDiagonal
 
 # radians of worst-case phase advanced per splitting window at the default
 # resolution, plus a per-unit-time floor so short low-energy sweeps stay
-# resolved; calibrated so that halving the window count moves final
-# probabilities by far less than 1e-6
+# resolved.  Not a stated accuracy: on 3D binary [-4,3] seed 0 at T = 64
+# the default moved grouped probabilities by 2.2e-6 against 8x the windows,
+# but halving the window count moved them by 1.5e-1; on 3D Hamming [-2,2]
+# at T = 32, by 9.3e-7 and 8.5e-4
 PHASE_PER_WINDOW = 8.0
 WINDOWS_PER_TIME = 32.0
 MIN_WINDOWS = 8
@@ -118,10 +123,11 @@ def evolve(
     windows = schedule.windows or auto_windows(diag, driver, schedule.T)
     local = diag.driver()
     shape = (local.shape[0],) * diag.n_qudits
-    mult = diag.multiplicity()
-    psi0 = np.sqrt(mult / mult.sum()).astype(np.complex128)
+    # start amplitudes sqrt(mult / total), in place of the multiplicities
+    amp = diag.multiplicity()
+    np.sqrt(amp / amp.sum(), out=amp)
     psi = _kernels.yoshida_sweep_sector(
-        psi0.reshape(shape), diag.values.reshape(shape).astype(np.float64),
+        amp.reshape(shape), diag.values.reshape(shape),
         local, driver.h0, schedule.T, windows,
     ).reshape(-1)
     norm = float(np.linalg.norm(psi))

@@ -22,7 +22,11 @@ class LatticeError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an exhaustive enumeration would exceed its point budget."""
+    """Raised before any work starts when a job would exceed a budget: an
+    oracle box over its point budget, energies outside the exact int64
+    range, or a sector over a cap (``spectrum.MAX_STATES`` in
+    ``ProblemDiagonal.from_model``, ``spectrum.MAX_SECTOR_DIM`` in
+    ``gap_scan``)."""
 
 
 def _as_rows(rows) -> Rows:
@@ -438,8 +442,8 @@ def brute_force_svp(basis: Basis, box: tuple[tuple[int, int], ...]) -> OracleRes
     )
 
 
-def auto_box(basis: Basis) -> tuple[tuple[int, int], ...]:
+def auto_box(basis: Basis | HnfBasis) -> tuple[tuple[int, int], ...]:
     """Coefficient box for the HNF coordinates of this basis, sized by the
-    optimal-HNF sufficiency intervals."""
-    h = hnf(basis)
+    optimal-HNF sufficiency intervals; an ``HnfBasis`` is used as it is."""
+    h = basis if isinstance(basis, HnfBasis) else hnf(basis)
     return coefficient_box(h.dim, h.covolume)

@@ -48,9 +48,12 @@ class SpectrumError(RuntimeError):
 # 512 MiB, and eigvalsh costs O(d^3) at every grid point
 MAX_SECTOR_DIM = 1 << 13
 
-# largest sector ProblemDiagonal.from_model builds: 128 MiB of int64
-# energies and a 256 MiB complex sweep state at the cap, as many states as
-# a 24-qubit binary problem has
+# largest sector ProblemDiagonal.from_model builds, as many states as a
+# 24-qubit binary problem has.  Per state the int64 energies take 8 bytes
+# and evolve peaks at 73 bytes more (tracemalloc, 2^20 states): the sweep
+# kernel holds two complex state buffers, a complex phase table and an
+# int64 energy index, 56 bytes, and evolve the start amplitudes, then the
+# final distribution and its grouping.  At the cap, 128 MiB and 1.1 GiB.
 MAX_STATES = 1 << 24
 
 
@@ -129,7 +132,9 @@ class ProblemDiagonal:
             raise ResourceLimitError(
                 f"sector dimension {dim} exceeds the {MAX_STATES}-state cap: "
                 f"its energies take {8 * dim} bytes ({8 * dim / 2**30:.1f} GiB) "
-                f"and a sweep state twice that"
+                f"and a sweep {73 * dim} bytes more ({73 * dim / 2**30:.1f} GiB): "
+                f"two complex state buffers, a complex phase table and an "
+                f"energy index, then the final distribution"
             )
         return cls(problem_diagonal_ints(model, rep), level)
 

@@ -7,7 +7,8 @@ energies by per-configuration decoding with Fractions, squared lengths straight 
 one coefficient vector, ``exhaustive_length_table`` for every
 configuration of an encoding, with no compiled coefficients involved),
 spectra from explicitly assembled matrices, time evolution by a
-high-resolution Runge-Kutta integrator on the dense Hamiltonian, and
+high-resolution Runge-Kutta integrator on the dense Hamiltonian or by the
+same splitting in the driver's eigenbasis, and
 annealing reads by a one-spin-at-a-time Metropolis loop.  Also the test
 fixtures for the emulator: a complete stand-in graph and its identity
 embedding.
@@ -16,10 +17,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from svpanneal import lattice
+from svpanneal._kernels import _PHASE_BLOCK, _substeps
 from svpanneal.emulator import ChimeraEmbedding, ChimeraGraph
 from svpanneal.lattice import LatticeError, OracleResult, ResourceLimitError
 
@@ -273,6 +276,54 @@ def reference_evolution(diag_values, h0, T, steps):
         psi = psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
     return psi
+
+
+def _each_axis(x: np.ndarray, mat: np.ndarray, shapes) -> np.ndarray:
+    """Apply the real d x d matrix along every axis of the flat complex
+    tensor x, one broadcast matmul per axis on the interleaved real view;
+    ``shapes`` holds (d**a, d, -1) for every axis a."""
+    r = x.view(np.float64)
+    for shape in shapes:
+        r = np.matmul(mat, r.reshape(shape))
+    return r.reshape(-1).view(np.complex128)
+
+
+def eigenbasis_sweep_reference(psi, diag, local, h0, T, windows):
+    """Propagate psi through the linear sweep with `windows` fourth-order
+    splitting steps on a tensor product of local spaces; returns the final
+    state.  psi (complex) and diag have shape (d,) * N, one axis per qudit,
+    and every qudit's transverse field is the real symmetric d x d matrix
+    ``local``.
+
+    The state stays in the eigenbasis of ``local``, where the driver is
+    diagonal, so adjacent driver half-steps merge into one phase; each
+    problem step rotates to the computational basis and back.  The same
+    substeps as ``_kernels.yoshida_sweep_sector``, which keeps the state in
+    the computational basis instead.
+    """
+    n_axes = diag.ndim
+    diag = diag.reshape(-1)
+    d = local.shape[0]
+    shapes = [(d ** a, d, -1) for a in range(n_axes)]
+    lam, vec = np.linalg.eigh(local)
+    lam_all = reduce(np.add.outer, [lam] * n_axes).reshape(-1)
+    theta, phi = _substeps(h0, T, windows)
+    # driver angle before each problem step, then the closing half-step
+    alpha = np.append(theta, 0.0)
+    alpha[1:] += theta
+    x = _each_axis(psi.reshape(-1), vec.T, shapes)
+    # phases are tabulated for a block of substeps at a time
+    block = max(1, _PHASE_BLOCK // diag.size)
+    for k in range(0, phi.size, block):
+        drv = np.exp(1j * np.multiply.outer(alpha[k:k + block], lam_all))
+        prob = np.exp(-1j * np.multiply.outer(phi[k:k + block], diag))
+        for d_ph, p_ph in zip(drv, prob):
+            x *= d_ph
+            y = _each_axis(x, vec, shapes)
+            y *= p_ph
+            x = _each_axis(y, vec.T, shapes)
+    x *= np.exp(1j * alpha[-1] * lam_all)
+    return _each_axis(x, vec, shapes).reshape(psi.shape)
 
 
 def metropolis_reference(nbr_ptr, nbr_idx, nbr_val, h, betas, reads, seeds):

@@ -63,6 +63,22 @@ def test_oracle_auto_box(instance_file, capsys):
     assert payload["coefficient_frame"] == "hnf"
 
 
+def test_oracle_auto_box_computes_hnf_once(instance_file, monkeypatch, capsys):
+    # count every hnf the command can reach: auto_box's and the CLI's own
+    calls = []
+    real = sa.lattice.hnf
+
+    def counted(basis):
+        calls.append(basis)
+        return real(basis)
+
+    monkeypatch.setattr(sa.lattice, "hnf", counted)
+    monkeypatch.setattr(cli, "hnf", counted)
+    run(["oracle", "--in", instance_file, "--box", "auto"])
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["coefficient_frame"] == "hnf"
+
+
 def test_oracle_radius_box(instance_file, capsys):
     run(["oracle", "--in", instance_file, "--box", "3"])
     payload = json.loads(capsys.readouterr().out)

@@ -1,12 +1,13 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import svpanneal as sa
-from svpanneal import dynamics
+from svpanneal import _kernels, dynamics
 
-from oracles import reference_evolution, sector_index
+from oracles import eigenbasis_sweep_reference, reference_evolution, sector_index
 
 
 def tiny_model(seed=5, family="binary"):
@@ -152,6 +153,88 @@ class TestSectorPath:
     def test_needs_one_qubit(self):
         with pytest.raises(ValueError):
             sa.ProblemDiagonal(np.array([0]))
+
+
+def popcounts(m):
+    """Hamming-ladder level map of an m-qubit column: the weight of each
+    configuration."""
+    return [bin(c).count("1") for c in range(1 << m)]
+
+
+# one qudit's level map per level count: Hamming ladders for 3 and 5
+# levels, binary columns for 2 and 8
+LEVELS = {2: [0, 1], 3: popcounts(2), 5: popcounts(4), 8: list(range(8))}
+
+
+class TestComputationalBasisKernel:
+    """The sweep kernel keeps the state in the computational basis; the
+    eigenbasis kernel it replaced (``oracles.eigenbasis_sweep_reference``)
+    runs the same substeps, so both agree to roundoff."""
+
+    @pytest.mark.parametrize("windows", [1, 2, 7, None])
+    @pytest.mark.parametrize("d, n_qudits", [(2, 1), (2, 4), (3, 2), (5, 3), (8, 3)])
+    def test_matches_eigenbasis_reference(self, d, n_qudits, windows):
+        rng = np.random.default_rng(10 * d + n_qudits)
+        shape = (d,) * n_qudits
+        # few distinct energies, so most repeat; then all equal
+        cases = [rng.integers(0, 6, size=shape) * 3, np.full(shape, 7)]
+        for values in cases:
+            diag = sa.ProblemDiagonal(values.reshape(-1), LEVELS[d])
+            drv = sa.DriverSpec(0.7)
+            T = 3.0
+            w = windows or dynamics.auto_windows(diag, drv, T)
+            psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            psi /= np.linalg.norm(psi)
+            got = _kernels.yoshida_sweep_sector(psi, values, diag.driver(), drv.h0, T, w)
+            want = eigenbasis_sweep_reference(psi, values.astype(np.float64),
+                                              diag.driver(), drv.h0, T, w)
+            assert got.shape == shape
+            assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("enc", [
+        sa.QuditEncoding.hamming(rng=(-2, 2)), sa.QuditEncoding.binary(rng=(-4, 3)),
+    ], ids=["ham", "bin"])
+    def test_benchmark_pools_match_eigenbasis_reference(self, enc, seed):
+        # the sweep-ham and sweep-bin pools: 3D lattices, T = 1 ... 32
+        diag = sa.ProblemDiagonal.from_model(model_3d(enc, seed))
+        drv = sa.DriverSpec(1.0)
+        local = diag.driver()
+        shape = (local.shape[0],) * diag.n_qudits
+        mult = diag.multiplicity()
+        psi0 = np.sqrt(mult / mult.sum()).astype(np.complex128).reshape(shape)
+        values = diag.values.reshape(shape).astype(np.float64)
+        for T in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
+            res = sa.evolve(diag, drv, sa.SweepSchedule(T=T))
+            assert res.windows == dynamics.auto_windows(diag, drv, T)
+            psi = eigenbasis_sweep_reference(psi0, values, local, drv.h0, T, res.windows)
+            probs = np.abs(psi.reshape(-1)) ** 2
+            want = dynamics.group_probabilities(diag.values, probs / probs.sum())
+            assert res.grouped.keys() == want.keys()
+            assert max(abs(res.grouped[k] - p) for k, p in want.items()) < 1e-12
+
+    @staticmethod
+    def evolve_peak(diag, schedule):
+        tracemalloc.start()
+        try:
+            sa.evolve(diag, sa.DriverSpec(), schedule)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_wide_qudit_tables_stay_small(self):
+        # one 256-level qudit: a table of propagators sized by the state
+        # alone would hold 256 of 1 MiB each
+        values = np.random.default_rng(0).integers(0, 40, size=256)
+        diag = sa.ProblemDiagonal(values, level=np.arange(256))
+        assert self.evolve_peak(diag, sa.SweepSchedule(T=1.0)) < 16 * 2**20
+
+    def test_footprint_per_state(self):
+        # the 73 bytes per state that spectrum.MAX_STATES documents
+        values = np.random.default_rng(0).integers(0, 2000, size=1 << 17)
+        diag = sa.ProblemDiagonal(values)
+        peak = self.evolve_peak(diag, sa.SweepSchedule(T=0.01, windows=1))
+        assert peak < 73 * diag.dim + 2**20
 
 
 class TestSweepScan:

@@ -97,6 +97,12 @@ def test_hnf_covolume_equals_abs_det():
         assert sa.hnf(inst.bad).covolume == abs(det_exact(inst.bad.rows))
 
 
+def test_auto_box_takes_basis_or_its_hnf():
+    for seed in range(10):
+        inst = sa.generate_instance(4, seed)
+        assert sa.auto_box(sa.hnf(inst.bad)) == sa.auto_box(inst.bad)
+
+
 def test_is_optimal_hnf():
     eye = sa.hnf(sa.Basis(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
     assert not sa.is_optimal_hnf(eye)  # zero non-unit pivots
