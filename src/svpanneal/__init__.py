@@ -32,7 +32,6 @@ from .encoding import (
     parse_encoding,
     problem_diagonal_ints,
     qudit_value,
-    redundancy,
 )
 from .experiments import (
     FoMReport,

@@ -49,24 +49,26 @@ def _each_qudit(a: np.ndarray, b: np.ndarray, u: np.ndarray, n_axes: int):
     return a, b
 
 
-def yoshida_sweep_sector(psi, diag, local, h0, T, windows):
+def yoshida_sweep_sector(psi, energies, inverse, local, h0, T, windows):
     """Propagate psi through the linear sweep with `windows` fourth-order
     splitting steps on a tensor product of local spaces; returns the final
-    state.  psi and diag have shape (d,) * N, one axis per qudit,
-    and every qudit's transverse field is the real symmetric d x d matrix
-    ``local``.
+    state.  psi has shape (d,) * N, one axis per qudit, and every qudit's
+    transverse field is the real symmetric d x d matrix ``local``.  The
+    problem energy of flat state i is energies[inverse[i]], as
+    ``np.unique(values, return_inverse=True)`` gives them.
 
     The state stays in the computational basis.  Adjacent driver half-steps
     merge into one angle alpha_k, so a substep is the complex symmetric
     driver propagator U_k = vec diag(exp(i alpha_k lam)) vec^T along every
     qudit axis, then the problem phase exp(-i phi_k E), taken over the
     distinct energies only.  Both are tabulated for a block of substeps at
-    a time.
+    a time.  ``dynamics.evolve`` starts psi in the driver ground state,
+    whose measurement distribution is uniform over spin configurations:
+    ``experiments.baseline`` reads its figures off that start distribution.
     """
-    n_axes = diag.ndim
+    n_axes = psi.ndim
     lam, vec = np.linalg.eigh(local)
     d = lam.size
-    energies, inverse = np.unique(diag.reshape(-1), return_inverse=True)
     theta, phi = _substeps(h0, T, windows)
     # driver angle before each problem step, then the closing half-step
     alpha = np.append(theta, 0.0)

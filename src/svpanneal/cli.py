@@ -58,18 +58,21 @@ def _cmd_bound(args):
     print(f"total qubits: {budget.total}")
 
 
+def _hnf_oracle(inst):
+    """Shortest vector of the instance, enumerated in its HNF frame over the
+    auto box (sufficiency intervals on the HNF)."""
+    h = hnf(inst.bad)
+    return brute_force_svp(Basis(h.rows), auto_box(h))
+
+
 def _cmd_oracle(args):
     inst = Instance.load(getattr(args, "in"))
     if args.box == "auto":
-        h = hnf(inst.bad)
-        basis, box = Basis(h.rows), auto_box(h)
-        frame = "hnf"
+        res, frame = _hnf_oracle(inst), "hnf"
     else:
         r = int(args.box)
-        basis = inst.bad
-        box = tuple((-r, r) for _ in range(inst.dim))
+        res = brute_force_svp(inst.bad, tuple((-r, r) for _ in range(inst.dim)))
         frame = "bad"
-    res = brute_force_svp(basis, box)
     out = {
         "lambda1_sq": res.lambda1_sq,
         "witnesses": [list(w) for w in res.witnesses],
@@ -117,6 +120,7 @@ def _cmd_simulate(args):
     command exits 1."""
     T_list = parse_T_list(args.T)
     model = IsingModel.load(args.model)
+    instance = Instance.load(args.instance) if args.instance else None
     diag = ProblemDiagonal.from_model(model)
     driver = DriverSpec(h0=args.h0)
     runs = []
@@ -147,8 +151,8 @@ def _cmd_simulate(args):
     }
     if failed:
         payload["failed"] = failed
-    if args.instance:
-        payload["instance"] = Instance.load(args.instance).to_json()
+    if instance:
+        payload["instance"] = instance.to_json()
     with open(args.out, "w") as f:
         json.dump(payload, f, indent=1)
     print(f"wrote {args.out}")
@@ -161,12 +165,12 @@ def _cmd_simulate(args):
 
 def _cmd_emulate(args):
     model = IsingModel.load(args.model)
+    instance = Instance.load(args.instance) if args.instance else None
     if args.chain_strength == "auto":
         cs = emulator.auto_chain_strength(model)
     else:
         cs = float(args.chain_strength)
-    m = args.grid_size or emulator.min_grid_for_clique(model.n_qubits)
-    graph = emulator.build_chimera(m)
+    graph = emulator.build_chimera(emulator.min_grid_for_clique(model.n_qubits))
     emb = emulator.embed_clique(model.n_qubits, graph, cs)
     noise = emulator.NoiseSpec(sigma_j=args.sigma_j, sigma_h=args.sigma_h,
                                seed=args.seed)
@@ -182,8 +186,8 @@ def _cmd_emulate(args):
     payload["scale"] = phys.scale
     payload["chain_strength"] = cs
     payload["physical_qubits"] = phys.n_qubits
-    if args.instance:
-        payload["instance"] = Instance.load(args.instance).to_json()
+    if instance:
+        payload["instance"] = instance.to_json()
     with open(args.out, "w") as f:
         json.dump(payload, f)
     gs = int(ss.lengths_sq.min())
@@ -220,10 +224,8 @@ def _cmd_analyze(args):
         inst = Instance.from_json(payload["instance"])
         lay = payload["encoding"]
         enc = parse_encoding(lay["family"], rng=(lay["lo"], lay["hi"]))
-        h = hnf(inst.bad)
-        oracle = brute_force_svp(Basis(h.rows), auto_box(h))
         outcome = _load_outcome(payload, path)
-        probs = experiments.figures_of_merit(outcome, inst.bad, oracle)
+        probs = experiments.figures_of_merit(outcome, inst.bad, _hnf_oracle(inst))
         records.append(
             experiments.InstanceRecord(
                 dim=inst.dim,
@@ -245,9 +247,7 @@ def _cmd_histogram(args):
         payload = json.load(f)
     outcome = _load_outcome(payload, path)
     inst = Instance.load(args.instance)
-    h = hnf(inst.bad)
-    oracle = brute_force_svp(Basis(h.rows), auto_box(h))
-    hist = experiments.histogram(outcome, inst.bad, oracle)
+    hist = experiments.histogram(outcome, inst.bad, _hnf_oracle(inst))
     hist.to_csv(args.out)
     print(f"wrote {args.out} ({len(hist.bins)} bins, total {hist.total():g})")
 
@@ -320,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--chain-strength", default="auto", dest="chain_strength")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--sweeps", type=int, default=1000)
-    g.add_argument("--grid-size", type=int, default=0, dest="grid_size",
-                   help="Chimera grid size (default: smallest that fits)")
     g.add_argument("--instance", help="embed the instance for later analysis")
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_emulate)

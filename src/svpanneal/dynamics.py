@@ -99,14 +99,6 @@ class SweepResult:
         return sorted(k for k in self.grouped if k > 0)
 
 
-def group_probabilities(values: np.ndarray, probs: np.ndarray) -> dict[int, float]:
-    """Total probability per exact squared length, outcome i having squared
-    length values[i]."""
-    levels, inverse = np.unique(values, return_inverse=True)
-    mass = np.bincount(inverse.reshape(-1), weights=probs.reshape(-1))
-    return {int(l): float(p) for l, p in zip(levels, mass)}
-
-
 def evolve(
     diag: ProblemDiagonal,
     driver: DriverSpec,
@@ -117,17 +109,22 @@ def evolve(
 
     The sweep runs in the problem's qudit sector, which the dynamics never
     leave, from the uniform superposition (each sector state weighted by
-    the square root of its multiplicity); ``probs`` is the final
-    distribution over the sector states, aligned with ``diag.values``.
+    the square root of its multiplicity).  Its start distribution,
+    ``diag.multiplicity()`` normalised, is uniform sampling over spin
+    configurations, the distribution ``experiments.baseline`` scores.
+    ``probs`` is the final distribution over the sector states, aligned
+    with ``diag.values``; ``grouped`` sums it per distinct energy, on the
+    index the kernel's phase table uses.
     """
     windows = schedule.windows or auto_windows(diag, driver, schedule.T)
     local = diag.driver()
     shape = (local.shape[0],) * diag.n_qudits
+    energies, inverse = np.unique(diag.values, return_inverse=True)
     # start amplitudes sqrt(mult / total), in place of the multiplicities
     amp = diag.multiplicity()
     np.sqrt(amp / amp.sum(), out=amp)
     psi = _kernels.yoshida_sweep_sector(
-        amp.reshape(shape), diag.values.reshape(shape),
+        amp.reshape(shape), energies, inverse,
         local, driver.h0, schedule.T, windows,
     ).reshape(-1)
     norm = float(np.linalg.norm(psi))
@@ -138,7 +135,8 @@ def evolve(
             f"(T={schedule.T}, windows={windows})"
         )
     probs = (np.abs(psi) ** 2) / (norm * norm)
-    grouped = group_probabilities(diag.values, probs)
+    mass = np.bincount(inverse, weights=probs)
+    grouped = {int(l): float(p) for l, p in zip(energies, mass)}
     return SweepResult(
         T=schedule.T,
         windows=windows,
@@ -150,15 +148,19 @@ def evolve(
 
 def parse_T_list(spec: str) -> list[float]:
     """Sweep lists like '2^0..2^10' (powers of two), '1,2,4' or '16';
-    raises ValueError if the list is empty."""
+    raises ValueError if the list is empty or a range endpoint is not an
+    integer power of two."""
     spec = spec.strip()
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
         if not (lo_s.strip().startswith("2^") and hi_s.strip().startswith("2^")):
             raise ValueError("ranges need the 2^a..2^b form")
-        a = int(round(math.log2(_parse_T(lo_s))))
-        b = int(round(math.log2(_parse_T(hi_s))))
-        Ts = [float(2 ** e) for e in range(a, b + 1)]
+        a, b = (math.log2(_parse_T(part)) for part in (lo_s, hi_s))
+        if not (a.is_integer() and b.is_integer()):
+            raise ValueError(
+                f"range endpoints of {spec!r} must be integer powers of two"
+            )
+        Ts = [float(2 ** e) for e in range(int(a), int(b) + 1)]
     else:
         Ts = [_parse_T(part) for part in spec.split(",") if part.strip()]
     if not Ts:

@@ -22,7 +22,6 @@ basis-vector order.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -141,16 +140,6 @@ def qudit_value(encoding: QuditEncoding, column) -> int:
         acc += w * s
     assert acc.denominator == 1
     return int(acc)
-
-
-def redundancy(encoding: QuditEncoding, value: int) -> int:
-    """Number of spin configurations of one qudit decoding to this value."""
-    if not encoding.lo <= value <= encoding.hi:
-        raise EncodingError(f"value {value} outside [{encoding.lo}, {encoding.hi}]")
-    if encoding.family == "binary":
-        return 1
-    m = encoding.qubits_per_qudit
-    return math.comb(m, m // 2 + value)
 
 
 @dataclass(frozen=True)
@@ -411,20 +400,6 @@ def problem_diagonal_ints(model: IsingModel, local=None) -> np.ndarray:
     if (flat % 4).any():
         raise EncodingError("compiled energies are not integers")
     return flat // 4
-
-
-def coefficient_grid(encoding: QuditEncoding, n_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """All coefficient vectors in the encoding's box together with the
-    number of configurations decoding to each (redundancy weights)."""
-    vals = np.arange(encoding.lo, encoding.hi + 1, dtype=np.int64)
-    weights = np.array([redundancy(encoding, int(v)) for v in vals], dtype=np.int64)
-    grids = np.meshgrid(*([vals] * n_dim), indexing="ij")
-    x = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wgrids = np.meshgrid(*([weights] * n_dim), indexing="ij")
-    w = np.ones(x.shape[0], dtype=np.int64)
-    for wg in wgrids:
-        w = w * wg.reshape(-1)
-    return x, w
 
 
 def parse_encoding(family: str, k: int | None = None,

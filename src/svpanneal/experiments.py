@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emulator import SampleSet
-from .encoding import QuditEncoding, coefficient_grid
+from .encoding import QuditEncoding, compile_ising
 from .lattice import Basis, GramMatrix, OracleResult, gram
+from .spectrum import ProblemDiagonal
 
 
 @dataclass(frozen=True)
@@ -81,15 +82,18 @@ def figures_of_merit(outcome, basis: Basis, oracle: OracleResult) -> FourProbs:
 def baseline(basis: Basis, encoding: QuditEncoding) -> tuple[float, float]:
     """Uniform-sampling probabilities of drawing a vector shorter than the
     min / median basis vector, each spin configuration weighted once (so
-    Hamming redundancy counts)."""
+    Hamming redundancy counts).  That distribution is the sweep's start
+    state: the sector multiplicities normalised, as ``dynamics.evolve``
+    starts from them.  Raises ResourceLimitError before allocating a
+    sector of more than ``spectrum.MAX_STATES`` states."""
     g = gram(basis)
-    x, w = coefficient_grid(encoding, basis.dim)
-    ga = g.as_array()
-    lengths = np.einsum("ci,ij,cj->c", x, ga, x)
+    diag = ProblemDiagonal.from_model(compile_ising(g, encoding))
+    mult = diag.multiplicity()
+    lengths = diag.values
     lo, med = basis_thresholds(g)
-    total = int(w.sum())
-    p_min = int(w[(lengths > 0) & (lengths < lo)].sum()) / total
-    p_med = int(w[(lengths > 0) & (lengths < med)].sum()) / total
+    total = mult.sum()
+    p_min = float(mult[(lengths > 0) & (lengths < lo)].sum() / total)
+    p_med = float(mult[(lengths > 0) & (lengths < med)].sum() / total)
     return p_min, p_med
 
 

@@ -50,10 +50,10 @@ MAX_SECTOR_DIM = 1 << 13
 
 # largest sector ProblemDiagonal.from_model builds, as many states as a
 # 24-qubit binary problem has.  Per state the int64 energies take 8 bytes
-# and evolve peaks at 73 bytes more (tracemalloc, 2^20 states): the sweep
-# kernel holds two complex state buffers, a complex phase table and an
-# int64 energy index, 56 bytes, and evolve the start amplitudes, then the
-# final distribution and its grouping.  At the cap, 128 MiB and 1.1 GiB.
+# and evolve peaks at 64 bytes more (tracemalloc, 2^20 states), inside the
+# sweep kernel: two complex state buffers and a complex phase table, 48
+# bytes, while evolve holds the int64 energy index and the start
+# amplitudes.  At the cap, 128 MiB and 1.0 GiB.
 MAX_STATES = 1 << 24
 
 
@@ -132,9 +132,9 @@ class ProblemDiagonal:
             raise ResourceLimitError(
                 f"sector dimension {dim} exceeds the {MAX_STATES}-state cap: "
                 f"its energies take {8 * dim} bytes ({8 * dim / 2**30:.1f} GiB) "
-                f"and a sweep {73 * dim} bytes more ({73 * dim / 2**30:.1f} GiB): "
-                f"two complex state buffers, a complex phase table and an "
-                f"energy index, then the final distribution"
+                f"and a sweep {64 * dim} bytes more ({64 * dim / 2**30:.1f} GiB): "
+                f"two complex state buffers, a complex phase table, an "
+                f"energy index and the start amplitudes"
             )
         return cls(problem_diagonal_ints(model, rep), level)
 

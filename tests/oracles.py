@@ -8,7 +8,8 @@ one coefficient vector, ``exhaustive_length_table`` for every
 configuration of an encoding, with no compiled coefficients involved),
 spectra from explicitly assembled matrices, time evolution by a
 high-resolution Runge-Kutta integrator on the dense Hamiltonian or by the
-same splitting in the driver's eigenbasis, and
+same splitting in the driver's eigenbasis, probability per squared length
+by ``np.unique`` grouping, and
 annealing reads by a one-spin-at-a-time Metropolis loop.  Also the test
 fixtures for the emulator: a complete stand-in graph and its identity
 embedding.
@@ -324,6 +325,14 @@ def eigenbasis_sweep_reference(psi, diag, local, h0, T, windows):
             x = _each_axis(y, vec.T, shapes)
     x *= np.exp(1j * alpha[-1] * lam_all)
     return _each_axis(x, vec, shapes).reshape(psi.shape)
+
+
+def group_probabilities(values: np.ndarray, probs: np.ndarray) -> dict[int, float]:
+    """Total probability per exact squared length, outcome i having squared
+    length values[i]: the grouping ``dynamics.evolve`` must reproduce."""
+    levels, inverse = np.unique(values, return_inverse=True)
+    mass = np.bincount(inverse.reshape(-1), weights=probs.reshape(-1))
+    return {int(l): float(p) for l, p in zip(levels, mass)}
 
 
 def metropolis_reference(nbr_ptr, nbr_idx, nbr_val, h, betas, reads, seeds):

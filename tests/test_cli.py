@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +13,6 @@ import pytest
 import svpanneal as sa
 from svpanneal import cli
 from svpanneal.cli import main
-from svpanneal.encoding import coefficient_grid
 
 
 def run(args):
@@ -174,6 +174,26 @@ def test_simulate_keeps_finished_T_when_one_fails(tmp_path, model_file, monkeypa
     assert payload["failed"] == [{"T": 2, "error": "norm drift 1e-3 exceeds 1e-09"}]
 
 
+@pytest.mark.parametrize("command", ["simulate", "emulate"])
+def test_missing_instance_fails_before_the_run(tmp_path, model_file, monkeypatch, command):
+    # a bad --instance path fails before any sweep or read is spent
+    calls = []
+
+    def counted(real):
+        return lambda *a, **k: calls.append(a) or real(*a, **k)
+
+    monkeypatch.setattr(cli, "evolve", counted(cli.evolve))
+    monkeypatch.setattr(sa.emulator, "sample", counted(sa.emulator.sample))
+    out = tmp_path / "results.json"
+    args = [command, "--model", model_file, "--instance", tmp_path / "missing.json",
+            "--out", out]
+    with pytest.raises(FileNotFoundError, match="missing.json"):
+        run(args + (["--T", 1] if command == "simulate"
+                    else ["--reads", 5, "--sweeps", 10]))
+    assert calls == []
+    assert not out.exists()
+
+
 def test_module_entry_point_runs_without_warnings():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run(
@@ -198,7 +218,7 @@ def test_hamming_30_qubits_run_in_the_sector(tmp_path):
     assert sum(grouped.values()) == pytest.approx(1.0, abs=1e-9)
     g = sa.gram(sa.Instance.load(inst_path).bad)
     enc = sa.QuditEncoding.hamming(rng=(-5, 5))
-    x, _ = coefficient_grid(enc, 3)
+    x = np.array(list(itertools.product(range(-5, 6), repeat=3)))
     lengths = np.einsum("ij,jk,ik->i", x, np.array(g.entries), x)
     assert {int(k) for k in grouped} <= set(lengths.tolist())
     csv_path = tmp_path / "gap.csv"
@@ -276,6 +296,26 @@ def test_analyze_directory(tmp_path, instance_file, capsys):
         rows = list(csv.reader(f))
     assert rows[0] == ["dim", "encoding", "fom", "mean", "stderr", "baseline"]
     assert len(rows) == 1 + 4  # one (dim, encoding) cell, four FoM
+
+
+def test_analyze_wide_hamming_sweeps(tmp_path):
+    # 4D Hamming [-8,8]: 64 qubits, an 83521-state sector whose
+    # configuration count, 2^64, is past int64
+    for seed in (0, 1):
+        inst_path = tmp_path / f"inst{seed}.json"
+        run(["gen", "--dim", 4, "--seed", seed, "--out", inst_path])
+        model_path = tmp_path / f"model{seed}.model"
+        run(["encode", "--in", inst_path, "--encoding", "ham", "--range=-8:8",
+             "--out", model_path])
+        run(["simulate", "--model", model_path, "--T", 0.01,
+             "--instance", inst_path, "--out", tmp_path / f"res{seed}.json"])
+    out = tmp_path / "fom.csv"
+    run(["analyze", "--in", tmp_path, "--out", out])
+    with open(out) as f:
+        rows = list(csv.reader(f))
+    fom_names = list(sa.experiments.FOM_NAMES)
+    assert [r[:3] for r in rows[1:]] == [["4", "hamming", fom] for fom in fom_names]
+    assert 0 < float(rows[-1][5]) < 1
 
 
 def test_analyze_rejects_sweep_file_without_runs(tmp_path, model_file, instance_file):

@@ -7,7 +7,9 @@ import pytest
 import svpanneal as sa
 from svpanneal import _kernels, dynamics
 
-from oracles import eigenbasis_sweep_reference, reference_evolution, sector_index
+from oracles import (
+    eigenbasis_sweep_reference, group_probabilities, reference_evolution, sector_index,
+)
 
 
 def tiny_model(seed=5, family="binary"):
@@ -127,7 +129,7 @@ class TestSectorPath:
         for level, p in full.grouped.items():
             assert abs(sector.grouped[level] - p) < 1e-10
         assert sector.probs.shape == (diag.dim,)
-        assert dynamics.group_probabilities(diag.values, sector.probs) == sector.grouped
+        assert group_probabilities(diag.values, sector.probs) == sector.grouped
         assert np.abs(on_full_space(model, sector.probs) - full.probs).max() < 1e-10
         assert sector.norm_drift < dynamics.NORM_DRIFT_BOUND
 
@@ -185,7 +187,9 @@ class TestComputationalBasisKernel:
             w = windows or dynamics.auto_windows(diag, drv, T)
             psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             psi /= np.linalg.norm(psi)
-            got = _kernels.yoshida_sweep_sector(psi, values, diag.driver(), drv.h0, T, w)
+            energies, inverse = np.unique(values.reshape(-1), return_inverse=True)
+            got = _kernels.yoshida_sweep_sector(psi, energies, inverse,
+                                                diag.driver(), drv.h0, T, w)
             want = eigenbasis_sweep_reference(psi, values.astype(np.float64),
                                               diag.driver(), drv.h0, T, w)
             assert got.shape == shape
@@ -209,7 +213,7 @@ class TestComputationalBasisKernel:
             assert res.windows == dynamics.auto_windows(diag, drv, T)
             psi = eigenbasis_sweep_reference(psi0, values, local, drv.h0, T, res.windows)
             probs = np.abs(psi.reshape(-1)) ** 2
-            want = dynamics.group_probabilities(diag.values, probs / probs.sum())
+            want = group_probabilities(diag.values, probs / probs.sum())
             assert res.grouped.keys() == want.keys()
             assert max(abs(res.grouped[k] - p) for k, p in want.items()) < 1e-12
 
@@ -230,11 +234,12 @@ class TestComputationalBasisKernel:
         assert self.evolve_peak(diag, sa.SweepSchedule(T=1.0)) < 16 * 2**20
 
     def test_footprint_per_state(self):
-        # the 73 bytes per state that spectrum.MAX_STATES documents
+        # the 64 bytes per state that spectrum.MAX_STATES documents (64.8
+        # at this size)
         values = np.random.default_rng(0).integers(0, 2000, size=1 << 17)
         diag = sa.ProblemDiagonal(values)
         peak = self.evolve_peak(diag, sa.SweepSchedule(T=0.01, windows=1))
-        assert peak < 73 * diag.dim + 2**20
+        assert peak < 65 * diag.dim + 2**20
 
 
 class TestSweepScan:
@@ -272,6 +277,12 @@ class TestScheduleParsing:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             dynamics.parse_T_list("1..5")
+
+    def test_range_endpoints_are_integer_powers_of_two(self):
+        # an endpoint off the powers of two is refused, not rounded onto one
+        with pytest.raises(ValueError, match="integer powers of two"):
+            dynamics.parse_T_list("2^0.5..2^3")
+        assert dynamics.parse_T_list("2^-1..2^2") == [0.5, 1, 2, 4]
 
     @pytest.mark.parametrize("spec", [",", " ", "2^3..2^1"])
     def test_empty_list_rejected(self, spec):

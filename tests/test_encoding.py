@@ -78,28 +78,42 @@ class TestQuditValue:
             assert set(range(enc.lo, enc.hi + 1)) <= set(int(v) for v in vals)
 
 
+def qudit_levels(enc):
+    """Sector level of each local configuration of one qudit."""
+    model = sa.compile_ising(sa.gram(sa.Basis(((1,),))), enc)
+    return sa.ProblemDiagonal.from_model(model).level
+
+
+def level_values(enc, level):
+    """Qudit value of each level, read at its lowest configuration."""
+    first = [int(np.argmax(level == a)) for a in range(level.max() + 1)]
+    return enc.local_values()[first]
+
+
 class TestRedundancy:
     def test_hamming_counts(self):
-        enc = sa.QuditEncoding.hamming(rng=(-2, 2))
-        assert sa.redundancy(enc, 0) == 6
-        assert sa.redundancy(enc, 2) == 1
-        assert sa.redundancy(enc, -2) == 1
+        # level w is Hamming weight w, value 2 - w
+        counts = np.bincount(qudit_levels(sa.QuditEncoding.hamming(rng=(-2, 2))))
+        assert counts.tolist() == [math.comb(4, w) for w in range(5)] == [1, 4, 6, 4, 1]
 
     def test_binary_bijective(self):
-        enc = sa.QuditEncoding.binary(k=2)
-        for v in range(-4, 4):
-            assert sa.redundancy(enc, v) == 1
+        assert np.bincount(qudit_levels(sa.QuditEncoding.binary(k=2))).tolist() == [1] * 8
 
     def test_out_of_range(self):
-        with pytest.raises(sa.EncodingError):
-            sa.redundancy(sa.QuditEncoding.binary(k=1), 5)
+        # one level per value of the range, none outside it
+        for enc in (sa.QuditEncoding.hamming(rng=(-3, 3)), sa.QuditEncoding.binary(k=1)):
+            values = level_values(enc, qudit_levels(enc))
+            assert sorted(values.tolist()) == list(range(enc.lo, enc.hi + 1))
 
     def test_counts_match_value_table(self):
         for enc in (sa.QuditEncoding.hamming(rng=(-3, 3)),
                     sa.QuditEncoding.binary(k=2)):
-            vals = [int(v) for v in enc.local_values()]
-            for v in range(enc.lo, enc.hi + 1):
-                assert sa.redundancy(enc, v) == vals.count(v)
+            level = qudit_levels(enc)
+            vals = enc.local_values().tolist()
+            want = [vals.count(v) for v in level_values(enc, level).tolist()]
+            assert np.bincount(level).tolist() == want
+            if enc.family == "hamming":
+                assert want == [math.comb(6, 3 + v) for v in range(3, -4, -1)]
 
 
 class TestCompile:
@@ -223,10 +237,12 @@ class TestDiagonalInvariants:
         inst = sa.generate_instance(3, seed)
         g = sa.gram(inst.bad)
         enc = sa.QuditEncoding.hamming(rng=(-2, 2))
-        d = sa.problem_diagonal_ints(sa.compile_ising(g, enc))
+        model = sa.compile_ising(g, enc)
+        d = sa.problem_diagonal_ints(model)
         assert d.min() == 0
         zeros = int((d == 0).sum())
-        assert zeros == sa.redundancy(enc, 0) ** 3
+        diag = sa.ProblemDiagonal.from_model(model)
+        assert zeros == diag.multiplicity()[diag.values == 0].sum()
         assert zeros == math.comb(4, 2) ** 3
 
     def test_binary_single_zero(self):

@@ -1,5 +1,7 @@
 import csv
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -137,6 +139,31 @@ class TestBaseline:
         tv3 = 1 - (1 - tv) ** 3  # product-measure bound over 3 qudits
         for i in range(2):
             assert abs(bh[i] - bb[i]) <= tv3 + abs(bh_u[i] - bb_u[i]) + 1e-12
+
+    def test_wide_hamming_box_vs_double_count(self):
+        # 4D Hamming [-8,8]: the redundancy weights multiply to 2^64 in
+        # all, past int64; the reference counts in Python ints
+        inst = sa.generate_instance(4, 0)
+        g = sa.gram(inst.bad)
+        lo_thr, med_thr = basis_thresholds(g)
+        total = hits_min = hits_med = 0
+        for x in itertools.product(range(-8, 9), repeat=4):
+            w = math.prod(math.comb(16, 8 + v) for v in x)
+            length = length_sq(g, x)
+            total += w
+            hits_min += w if 0 < length < lo_thr else 0
+            hits_med += w if 0 < length < med_thr else 0
+        assert total == 2 ** 64
+        got = sa.baseline(inst.bad, sa.QuditEncoding.hamming(rng=(-8, 8)))
+        assert got == pytest.approx((hits_min / total, hits_med / total), rel=1e-12)
+
+    def test_box_over_state_cap_refused(self):
+        # 3D binary k=8: a 2^27-state sector, refused before allocating
+        inst = sa.generate_instance(3, 0)
+        t0 = time.perf_counter()
+        with pytest.raises(sa.ResourceLimitError, match=str(2 ** 27)):
+            sa.baseline(inst.bad, sa.QuditEncoding.binary(k=8))
+        assert time.perf_counter() - t0 < 0.5
 
 
 def cell(report, fom):
