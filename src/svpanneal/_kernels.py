@@ -55,7 +55,9 @@ def yoshida_sweep_sector(psi, energies, inverse, local, h0, T, windows):
     state.  psi has shape (d,) * N, one axis per qudit, and every qudit's
     transverse field is the real symmetric d x d matrix ``local``.  The
     problem energy of flat state i is energies[inverse[i]], as
-    ``np.unique(values, return_inverse=True)`` gives them.
+    ``np.unique(values, return_inverse=True)`` gives them.  A C-contiguous
+    complex128 psi is the first state buffer and is overwritten; any other
+    is copied to one.
 
     The state stays in the computational basis.  Adjacent driver half-steps
     merge into one angle alpha_k, so a substep is the complex symmetric
@@ -73,7 +75,7 @@ def yoshida_sweep_sector(psi, energies, inverse, local, h0, T, windows):
     # driver angle before each problem step, then the closing half-step
     alpha = np.append(theta, 0.0)
     alpha[1:] += theta
-    a = psi.astype(np.complex128).reshape(-1)
+    a = np.asarray(psi, dtype=np.complex128).reshape(-1)
     b = np.empty_like(a)
     # a block's tables hold at most _PHASE_BLOCK entries each, or one substep's
     block = max(1, _PHASE_BLOCK // max(a.size, d * d))

@@ -111,14 +111,21 @@ def _cmd_gap_scan(args):
         for s, e0, e1 in zip(prof.s_grid, prof.e0, prof.e1):
             w.writerow([f"{s:.8f}", f"{e0:.12g}", f"{e1:.12g}", f"{e1 - e0:.12g}"])
     s_star, g_star = prof.min_gap
-    print(f"wrote {args.out}; min gap {g_star:.6g} at s={s_star:.4f}")
+    # the largest residual is nan when dense eigvalsh solved the interior
+    # points: it computes no vectors
+    print(f"wrote {args.out}; min gap {g_star:.6g} at s={s_star:.4f}; "
+          f"{prof.iterations.sum()} solver iterations, "
+          f"largest residual {prof.residual.max():.3g}")
 
 
 def _cmd_simulate(args):
     """Sweep every T of the list; a T whose integration fails is recorded
     under "failed" and the rest still run, the file is written, and the
-    command exits 1."""
-    T_list = parse_T_list(args.T)
+    command exits 1.  A bad --T list fails before any sweep."""
+    try:
+        T_list = parse_T_list(args.T)
+    except ValueError as exc:
+        raise SystemExit(f"--T: {exc}") from None
     model = IsingModel.load(args.model)
     instance = Instance.load(args.instance) if args.instance else None
     diag = ProblemDiagonal.from_model(model)

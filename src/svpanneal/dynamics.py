@@ -120,12 +120,14 @@ def evolve(
     local = diag.driver()
     shape = (local.shape[0],) * diag.n_qudits
     energies, inverse = np.unique(diag.values, return_inverse=True)
-    # start amplitudes sqrt(mult / total), in place of the multiplicities
-    amp = diag.multiplicity()
-    np.sqrt(amp / amp.sum(), out=amp)
+    # complex start amplitudes sqrt(mult / total): the kernel propagates
+    # them in place, so no real copy stays alive through the sweep
+    mult = diag.multiplicity()
+    psi = np.zeros(shape, np.complex128)
+    np.sqrt(mult.reshape(shape) / mult.sum(), out=psi.real)
+    del mult
     psi = _kernels.yoshida_sweep_sector(
-        amp.reshape(shape), energies, inverse,
-        local, driver.h0, schedule.T, windows,
+        psi, energies, inverse, local, driver.h0, schedule.T, windows,
     ).reshape(-1)
     norm = float(np.linalg.norm(psi))
     drift = abs(1.0 - norm)
@@ -148,8 +150,8 @@ def evolve(
 
 def parse_T_list(spec: str) -> list[float]:
     """Sweep lists like '2^0..2^10' (powers of two), '1,2,4' or '16';
-    raises ValueError if the list is empty or a range endpoint is not an
-    integer power of two."""
+    raises ValueError if the list is empty, a duration is not positive and
+    finite, or a range endpoint is not an integer power of two."""
     spec = spec.strip()
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
@@ -170,6 +172,10 @@ def parse_T_list(spec: str) -> list[float]:
 
 def _parse_T(s: str) -> float:
     s = s.strip()
-    if s.startswith("2^"):
-        return float(2.0 ** float(s[2:]))
-    return float(s)
+    try:
+        T = 2.0 ** float(s[2:]) if s.startswith("2^") else float(s)
+    except OverflowError:
+        T = math.inf
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"sweep duration {s!r} is not positive and finite")
+    return T

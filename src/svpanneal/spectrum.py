@@ -17,9 +17,14 @@ The sector gap is the one that controls the sweep: for Hamming it stays
 open at s=1 even though the full-space ground level is degenerate there.
 ``dynamics.evolve`` integrates every sweep in the same sector.
 
-Gap profiles come from one dense solver: ``eigvalsh`` of the sector
-Hamiltonian at every grid point.  A sector larger than ``MAX_SECTOR_DIM``
-states is refused before any d x d matrix is allocated.
+Gap profiles come from one of two solvers, picked by the sector size.  Up
+to ``DENSE_MAX_DIM`` states, ``eigvalsh`` of the dense sector Hamiltonian
+at every interior grid point; above it, a warm-started block eigensolver
+(LOBPCG) that applies H(s) to a block of vectors one qudit axis at a time,
+never forming the matrix, and carries its block from one grid point to the
+next.  Both take the endpoints s = 0 and s = 1 in closed form.  A sector
+larger than ``MAX_SECTOR_DIM`` states is refused before anything is
+allocated.
 """
 from __future__ import annotations
 
@@ -39,21 +44,40 @@ from .lattice import GramMatrix, ResourceLimitError
 
 
 class SpectrumError(RuntimeError):
-    """Eigensolver failure.  The dense scan never raises it; it stays in the
-    public API because callers catch it."""
+    """Eigensolver failure: the block solver raises it when a grid point
+    has not converged after ``_MAX_ITERATIONS`` iterations."""
 
 
-# largest sector the dense scan accepts: at the cap each of the three d x d
-# float64 matrices it holds (driver, H(s), eigvalsh's work copy) takes
-# 512 MiB, and eigvalsh costs O(d^3) at every grid point
-MAX_SECTOR_DIM = 1 << 13
+# largest sector gap_scan accepts.  The block solver holds a few blocks of
+# at most 3 (1 + N q) sector vectors, N qudits of q qubits: on 2 cores a
+# 33-point scan of 6D Hamming [-2,2] (15,625 states) took 4.3 s and peaked
+# at 18.6 MiB (tracemalloc), one of 7D binary [-2,1] (16,384) 3.9 s and
+# 41.6 MiB
+MAX_SECTOR_DIM = 1 << 14
+
+# sectors of at most this many states take dense eigvalsh, larger ones the
+# block solver.  The measured crossover, median 33-point scan over 4-6
+# lattices on 2 cores, dense against block: 125 states (3D Hamming [-2,2])
+# 20 against 27 ms, 128 (7D binary [-1,0]) 22 against 23 ms, 169 (2D
+# Hamming [-6,6]) 40 against 30 ms, 512 (3D binary [-4,3]) 435 against
+# 82 ms
+DENSE_MAX_DIM = 128
+
+# the block solver: its block after the first interior point, iterations
+# per grid point before it gives up, and its stopping tolerances (see
+# _block_scan)
+_BLOCK = 4
+_MAX_ITERATIONS = 500
+_EIG_RTOL = 1e-12
+_RESIDUAL_TOL = 1e-5
 
 # largest sector ProblemDiagonal.from_model builds, as many states as a
 # 24-qubit binary problem has.  Per state the int64 energies take 8 bytes
-# and evolve peaks at 64 bytes more (tracemalloc, 2^20 states), inside the
-# sweep kernel: two complex state buffers and a complex phase table, 48
-# bytes, while evolve holds the int64 energy index and the start
-# amplitudes.  At the cap, 128 MiB and 1.0 GiB.
+# and evolve peaks at 57 bytes more (56.8 at 2^17 states, 56.1 at 2^20;
+# tracemalloc), inside the sweep kernel: two complex state buffers, the
+# first of them the start amplitudes, and a complex phase table, 48 bytes,
+# while evolve holds the int64 energy index.  At the cap, 128 MiB and
+# 0.9 GiB.
 MAX_STATES = 1 << 24
 
 
@@ -132,9 +156,9 @@ class ProblemDiagonal:
             raise ResourceLimitError(
                 f"sector dimension {dim} exceeds the {MAX_STATES}-state cap: "
                 f"its energies take {8 * dim} bytes ({8 * dim / 2**30:.1f} GiB) "
-                f"and a sweep {64 * dim} bytes more ({64 * dim / 2**30:.1f} GiB): "
-                f"two complex state buffers, a complex phase table, an "
-                f"energy index and the start amplitudes"
+                f"and a sweep {57 * dim} bytes more ({57 * dim / 2**30:.1f} GiB): "
+                f"two complex state buffers, a complex phase table and an "
+                f"energy index"
             )
         return cls(problem_diagonal_ints(model, rep), level)
 
@@ -162,9 +186,18 @@ class ProblemDiagonal:
 
 @dataclass(frozen=True)
 class GapProfile:
+    """E0 and E1 at every grid point, with the solver's diagnostics:
+    ``iterations`` the block solver's LOBPCG iterations after its
+    warm-start step and ``residual`` the larger residual norm
+    ||H x_j - theta_j x_j|| of its two lowest Ritz pairs.  The closed-form
+    endpoints record 0 iterations and residual 0.0; dense ``eigvalsh``
+    points 0 iterations and residual NaN, since it computes no vectors."""
+
     s_grid: np.ndarray
     e0: np.ndarray
     e1: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
 
     @property
     def gaps(self) -> np.ndarray:
@@ -200,27 +233,129 @@ def sector_hamiltonian_parts(
 def gap_scan(diag: ProblemDiagonal, driver: DriverSpec, grid: int = 33) -> GapProfile:
     """E0 and E1 of H(s) in the problem's qudit sector (the one
     ``dynamics.evolve`` integrates) at ``grid`` evenly spaced points of s
-    from 0 to 1."""
+    from 0 to 1: dense ``eigvalsh`` for sectors of at most
+    ``DENSE_MAX_DIM`` states, the warm-started block solver above."""
     if grid < 3:
         raise ValueError("need at least 3 grid points")
     sgrid = np.linspace(0.0, 1.0, int(grid))
     d = diag.dim
     if d > MAX_SECTOR_DIM:
         raise ResourceLimitError(
-            f"sector dimension {d} exceeds the dense-scan cap {MAX_SECTOR_DIM}: "
-            f"the scan would hold three {d} x {d} float64 matrices of "
-            f"{8 * d * d} bytes ({8 * d * d / 2**30:.1f} GiB) each"
+            f"sector dimension {d} exceeds the {MAX_SECTOR_DIM}-state gap-scan "
+            f"cap (at the cap a 33-point scan takes about 4 s and 42 MiB)"
         )
+    scan = _dense_scan if d <= DENSE_MAX_DIM else _block_scan
+    return scan(diag, driver, sgrid)
+
+
+def _profile(diag: ProblemDiagonal, driver: DriverSpec, sgrid: np.ndarray,
+             inner: list) -> GapProfile:
+    """The profile from the (E0, E1, iterations, residual) rows of the
+    interior points, with both endpoints in closed form: at s = 0 the
+    driver ground level and the first excited one (one qudit in its second
+    local level), at s = 1 the two smallest sector energies."""
+    lam = np.linalg.eigvalsh(diag.driver())
+    n = diag.n_qudits
+    low = np.partition(diag.values, 1)[:2]
+    rows = np.array([
+        (-driver.h0 * n * lam[-1], -driver.h0 * ((n - 1) * lam[-1] + lam[-2]), 0, 0.0),
+        *inner,
+        (low[0], low[1], 0, 0.0),
+    ], dtype=np.float64)
+    return GapProfile(s_grid=sgrid, e0=rows[:, 0], e1=rows[:, 1],
+                      iterations=rows[:, 2].astype(np.int64), residual=rows[:, 3])
+
+
+def _dense_scan(diag: ProblemDiagonal, driver: DriverSpec, sgrid: np.ndarray) -> GapProfile:
+    """``eigvalsh`` of the d x d sector Hamiltonian at every interior point."""
     drv, dg = sector_hamiltonian_parts(diag, driver)
-    e0 = np.empty(sgrid.size)
-    e1 = np.empty(sgrid.size)
+    d = diag.dim
     h = np.empty_like(drv)
-    for i, s in enumerate(sgrid):
+    inner = []
+    for s in sgrid[1:-1]:
         np.multiply(drv, 1.0 - s, out=h)
         h.flat[:: d + 1] += s * dg
         vals = np.linalg.eigvalsh(h)
-        e0[i], e1[i] = vals[0], vals[1]
-    return GapProfile(s_grid=sgrid, e0=e0, e1=e1)
+        inner.append((vals[0], vals[1], 0, np.nan))
+    return _profile(diag, driver, sgrid, inner)
+
+
+def _apply_h(x: np.ndarray, local: np.ndarray, values: np.ndarray, n_qudits: int) -> np.ndarray:
+    """H x for a block x of sector vectors (one per column): ``local``
+    along every qudit axis plus the diagonal ``values``, never forming the
+    d x d matrix."""
+    d = local.shape[0]
+    hx = x * values[:, None]
+    for j in range(n_qudits):
+        # qudit j is digit j of the state index, axis 1 of this view
+        xj = x.reshape(d ** (n_qudits - 1 - j), d, -1)
+        hx.reshape(xj.shape)[...] += np.matmul(local, xj)
+    return hx
+
+
+def _block_scan(diag: ProblemDiagonal, driver: DriverSpec, sgrid: np.ndarray) -> GapProfile:
+    """LOBPCG (Knyazev, SIAM J. Sci. Comput. 23:517, 2001) for the lowest
+    levels of H(s), matrix-free, from one interior point to the next.
+
+    The first interior point starts from the s = 0 eigenvectors of the
+    driver ground level and its whole first excited cluster; every later
+    one from a Rayleigh-Ritz step on the blocks of the previous two points,
+    keeping ``_BLOCK`` vectors.  The preconditioner is
+    1 / (|s E_i - theta_j| + (1 - s) h0).  A point is done when, for its
+    two lowest Ritz pairs, the eigenvalue error bound
+    ||r_j||^2 / max(theta_top - theta_j, ||r_j||) is at most
+    ``_EIG_RTOL`` max(1, |theta_j|) and ||r_j|| <= ``_RESIDUAL_TOL``,
+    theta_top being the block's highest Ritz value.  Raises SpectrumError
+    after ``_MAX_ITERATIONS`` iterations at one point."""
+    n = diag.n_qudits
+    driver_local = diag.driver()
+    lam, vec = np.linalg.eigh(driver_local)
+    values = diag.values.astype(np.float64)
+    h0 = driver.h0
+    # s = 0: every qudit in its top local level, then one qudit in a
+    # second one; qudit j is the last of the outer product's factors
+    top = vec[:, -1]
+    second = vec[:, :-1][:, np.isclose(lam[:-1], lam[-2], rtol=0.0, atol=1e-9)]
+    start = [reduce(np.multiply.outer, [top] * n).reshape(-1)]
+    for j in range(n):
+        for v in second.T:
+            factors = [top] * n
+            factors[n - 1 - j] = v
+            start.append(reduce(np.multiply.outer, factors).reshape(-1))
+    blocks = [np.stack(start, axis=1)]
+    inner = []
+    for s in sgrid[1:-1]:
+        local = (-h0 * (1.0 - s)) * driver_local
+        sv = s * values
+        m = blocks[0].shape[1] if len(blocks) == 1 else _BLOCK
+        q, _ = np.linalg.qr(np.concatenate(blocks, axis=1))
+        x = p = None
+        for it in range(_MAX_ITERATIONS + 1):
+            if x is not None:
+                w = r / (np.abs(sv[:, None] - theta) + (1.0 - s) * h0)
+                q, _ = np.linalg.qr(np.concatenate([x, w] if p is None else [x, w, p], axis=1))
+            hq = _apply_h(q, local, sv, n)
+            theta, c = np.linalg.eigh(q.T @ hq)
+            theta, c = theta[:m], c[:, :m]
+            x, hx = q @ c, hq @ c
+            if it:
+                p = q[:, m:] @ c[m:]
+            r = hx - x * theta
+            norms = np.sqrt(np.einsum("ij,ij->j", r[:, :2], r[:, :2]))
+            # the error bound, multiplied out so that a zero residual in a
+            # degenerate block passes
+            spread = np.maximum(theta[-1] - theta[:2], norms)
+            if ((norms ** 2 <= _EIG_RTOL * np.maximum(1.0, np.abs(theta[:2])) * spread)
+                    & (norms <= _RESIDUAL_TOL)).all():
+                break
+        else:
+            raise SpectrumError(
+                f"block eigensolver did not converge at s={s:.6g} after "
+                f"{_MAX_ITERATIONS} iterations: residuals {norms[0]:.3e}, {norms[1]:.3e}"
+            )
+        inner.append((theta[0], theta[1], it, norms.max()))
+        blocks = [x, blocks[0]]
+    return _profile(diag, driver, sgrid, inner)
 
 
 def sector_gap_scan(

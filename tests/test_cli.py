@@ -134,6 +134,38 @@ def test_gap_scan_sector(tmp_path, instance_file, capsys):
         prof.min_gap[1], abs=1e-9)
 
 
+def test_gap_scan_reports_solver_diagnostics(tmp_path, instance_file, capsys):
+    # binary [-4,3]: 512 sector states, the block solver
+    model_path = tmp_path / "bin4.json"
+    run(["encode", "--in", instance_file, "--encoding", "bin",
+         "--range=-4:3", "--out", model_path])
+    capsys.readouterr()
+    run(["gap-scan", "--model", model_path, "--grid", 9, "--out", tmp_path / "p.csv"])
+    line = capsys.readouterr().out
+    prof = sa.gap_scan(sa.ProblemDiagonal.from_model(sa.IsingModel.load(model_path)),
+                       sa.DriverSpec(), grid=9)
+    assert prof.iterations.sum() > 0
+    assert f"; {prof.iterations.sum()} solver iterations, " in line
+    assert f"largest residual {prof.residual.max():.3g}" in line
+
+
+def test_gap_scan_6d_hamming(tmp_path, capsys):
+    # 6D Hamming [-2,2]: 15,625 sector states, over the old 8192-state cap
+    inst_path = tmp_path / "inst6.json"
+    run(["gen", "--dim", 6, "--seed", 0, "--out", inst_path])
+    model_path = tmp_path / "ham6.json"
+    run(["encode", "--in", inst_path, "--encoding", "ham", "--range=-2:2",
+         "--out", model_path])
+    out = tmp_path / "ham6.csv"
+    run(["gap-scan", "--model", model_path, "--grid", 5, "--out", out])
+    with open(out) as f:
+        rows = list(csv.reader(f))
+    assert len(rows) == 6
+    # 2 h0 at s = 0, the smallest nonzero squared length at s = 1
+    diag = sa.ProblemDiagonal.from_model(sa.IsingModel.load(model_path))
+    assert [float(r[3]) for r in rows[1::4]] == [2.0, float(np.unique(diag.values)[1])]
+
+
 def test_gap_scan_refuses_oversized_sector(tmp_path, instance_file):
     model_path = tmp_path / "bin16.json"
     run(["encode", "--in", instance_file, "--encoding", "bin",
@@ -172,6 +204,17 @@ def test_simulate_keeps_finished_T_when_one_fails(tmp_path, model_file, monkeypa
     payload = json.loads(out.read_text())
     assert [r["T"] for r in payload["runs"]] == [1, 4]
     assert payload["failed"] == [{"T": 2, "error": "norm drift 1e-3 exceeds 1e-09"}]
+
+
+@pytest.mark.parametrize("T", ["1,4,-1", "1,inf", "2^1023..2^1024"])
+def test_simulate_refuses_bad_T_before_any_sweep(tmp_path, model_file, monkeypatch, T):
+    calls = []
+    monkeypatch.setattr(cli, "evolve", lambda *a: calls.append(a))
+    out = tmp_path / "results.json"
+    with pytest.raises(SystemExit, match="not positive and finite"):
+        run(["simulate", "--model", model_file, "--T", T, "--out", out])
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "emulate"])

@@ -230,3 +230,125 @@ class TestSectorMap:
             h_sector = (1 - s) * drv + s * np.diag(dg)
             assert np.allclose(p.T @ h_full @ p, h_sector, atol=1e-12)
             assert np.allclose(h_full @ p, p @ h_sector, atol=1e-12)
+
+
+def lattice_diag(n_dim, seed, enc):
+    g = sa.gram(sa.generate_instance(n_dim, seed).bad)
+    return sa.ProblemDiagonal.from_model(sa.compile_ising(g, enc))
+
+
+def dense_levels(diag, driver, points):
+    """(E0, E1) of eigvalsh of the sector Hamiltonian at each s of points."""
+    drv, dg = spectrum.sector_hamiltonian_parts(diag, driver)
+    for s in points:
+        h = (1 - s) * drv
+        h.flat[:: diag.dim + 1] += s * dg
+        vals = np.linalg.eigvalsh(h)
+        yield vals[0], vals[1]
+
+
+def assert_levels_close(e, ref, rtol=1e-10):
+    # relative, with a floor of one energy unit
+    assert abs(e - ref) <= rtol * max(1.0, abs(ref)), (e, ref)
+
+
+GRID = np.linspace(0.0, 1.0, 33)
+
+BLOCK_CASES = (
+    # the sweep-ham and sweep-bin benchmark pools
+    [(3, seed, sa.QuditEncoding.hamming(rng=(-2, 2))) for seed in range(6)]
+    + [(3, seed, sa.QuditEncoding.binary(rng=(-4, 3))) for seed in range(6)]
+    # 2D-4D, both families
+    + [(2, seed, sa.QuditEncoding.hamming(rng=(-2, 2))) for seed in range(2)]
+    + [(3, seed, sa.QuditEncoding.hamming(rng=(-1, 1))) for seed in range(2)]
+    + [(4, seed, sa.QuditEncoding.hamming(rng=(-1, 1))) for seed in range(2)]
+    + [(2, seed, sa.QuditEncoding.binary(rng=(-2, 1))) for seed in range(2)]
+    + [(3, seed, sa.QuditEncoding.binary(rng=(-2, 1))) for seed in range(2)]
+    + [(4, seed, sa.QuditEncoding.binary(rng=(-2, 1))) for seed in range(2)]
+)
+
+
+class TestBlockSolver:
+    """The warm-started block solver against dense eigvalsh of the sector
+    Hamiltonian, called directly whatever the sector size."""
+
+    @pytest.mark.parametrize(
+        "n_dim, seed, enc", BLOCK_CASES,
+        ids=[f"{n}D-{e.family}[{e.lo},{e.hi}]-{s}" for n, s, e in BLOCK_CASES])
+    def test_matches_dense_at_every_point(self, n_dim, seed, enc):
+        diag = lattice_diag(n_dim, seed, enc)
+        drv = sa.DriverSpec(1.0)
+        prof = spectrum._block_scan(diag, drv, GRID)
+        assert np.array_equal(prof.s_grid, GRID)
+        for e0, e1, (ref0, ref1) in zip(prof.e0, prof.e1, dense_levels(diag, drv, GRID)):
+            assert_levels_close(e0, ref0)
+            assert_levels_close(e1, ref1)
+        # the endpoints in closed form; every interior point iterated
+        assert prof.iterations[[0, -1]].tolist() == [0, 0]
+        assert prof.residual[[0, -1]].tolist() == [0.0, 0.0]
+        assert (prof.iterations[1:-1] > 0).all()
+        assert (prof.residual[1:-1] <= spectrum._RESIDUAL_TOL).all()
+
+    def test_4096_state_binary_sector(self):
+        # 3D binary [-8,7] seed 2: its minimum gap, 0.1403 at s = 0.34375;
+        # the dense scan of this sector took 124-141 s
+        diag = lattice_diag(3, 2, sa.QuditEncoding.binary(rng=(-8, 7)))
+        assert diag.dim == 4096
+        drv = sa.DriverSpec(1.0)
+        t0 = time.perf_counter()
+        prof = sa.gap_scan(diag, drv)
+        assert time.perf_counter() - t0 < 15.0
+        assert prof.min_gap[0] == 0.34375
+        points = [11, 31]  # s = 0.34375, 0.96875
+        for i, (ref0, ref1) in zip(points, dense_levels(diag, drv, GRID[points])):
+            assert_levels_close(prof.e0[i], ref0)
+            assert_levels_close(prof.e1[i], ref1)
+        # at s = 1 the dense matrix is diagonal: its eigenvalues are the
+        # sorted energies
+        assert [prof.e0[-1], prof.e1[-1]] == np.sort(diag.values)[:2].tolist()
+
+    def test_avoided_crossing(self):
+        # 3D binary [-4,3] seed 5 nearly closes its gap at s = 0.25
+        diag = lattice_diag(3, 5, sa.QuditEncoding.binary(rng=(-4, 3)))
+        prof = sa.gap_scan(diag, sa.DriverSpec(1.0))
+        s_star, g_star = prof.min_gap
+        assert s_star == 0.25
+        (ref0, ref1), = dense_levels(diag, sa.DriverSpec(1.0), [0.25])
+        assert g_star == pytest.approx(ref1 - ref0, abs=1e-10)
+        assert 0.007 < g_star < 0.008
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_MAX_ITERATIONS", 1)
+        diag = lattice_diag(3, 0, sa.QuditEncoding.binary(rng=(-4, 3)))
+        with pytest.raises(sa.SpectrumError, match=r"s=0\.03125 after 1 iterations"):
+            sa.gap_scan(diag, sa.DriverSpec(1.0))
+
+    def test_agrees_with_dense_at_the_threshold(self):
+        # 7D binary [-1,0]: a sector of exactly DENSE_MAX_DIM states, the
+        # largest that gap_scan still solves densely
+        diag = lattice_diag(7, 0, sa.QuditEncoding.binary(k=0))
+        assert diag.dim == spectrum.DENSE_MAX_DIM
+        drv = sa.DriverSpec(0.8)
+        dense = sa.gap_scan(diag, drv)
+        block = spectrum._block_scan(diag, drv, dense.s_grid)
+        assert np.isnan(dense.residual[1:-1]).all()
+        assert not dense.iterations.any()
+        for e, ref in zip(np.r_[block.e0, block.e1], np.r_[dense.e0, dense.e1]):
+            assert_levels_close(e, ref)
+
+    def test_degenerate_levels(self):
+        # equal energies: E1 is 9-fold degenerate at every s, through the
+        # top of the block, and the Ritz pairs converge to roundoff residuals
+        diag = sa.ProblemDiagonal(np.full(512, 7))
+        drv = sa.DriverSpec(1.0)
+        prof = spectrum._block_scan(diag, drv, GRID)
+        for e0, e1, (ref0, ref1) in zip(prof.e0, prof.e1, dense_levels(diag, drv, GRID)):
+            assert_levels_close(e0, ref0)
+            assert_levels_close(e1, ref1)
+
+    def test_solver_picked_by_sector_size(self):
+        # a sector above the threshold takes the block solver
+        values = np.random.default_rng(1).integers(0, 50, spectrum.DENSE_MAX_DIM * 2)
+        prof = sa.gap_scan(sa.ProblemDiagonal(values), sa.DriverSpec(), grid=9)
+        assert (prof.iterations[1:-1] > 0).all()
+        assert np.isfinite(prof.residual).all()
