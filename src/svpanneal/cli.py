@@ -111,8 +111,6 @@ def _cmd_gap_scan(args):
         for s, e0, e1 in zip(prof.s_grid, prof.e0, prof.e1):
             w.writerow([f"{s:.8f}", f"{e0:.12g}", f"{e1:.12g}", f"{e1 - e0:.12g}"])
     s_star, g_star = prof.min_gap
-    # the largest residual is nan when dense eigvalsh solved the interior
-    # points: it computes no vectors
     print(f"wrote {args.out}; min gap {g_star:.6g} at s={s_star:.4f}; "
           f"{prof.iterations.sum()} solver iterations, "
           f"largest residual {prof.residual.max():.3g}")

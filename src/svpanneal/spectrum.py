@@ -17,14 +17,11 @@ The sector gap is the one that controls the sweep: for Hamming it stays
 open at s=1 even though the full-space ground level is degenerate there.
 ``dynamics.evolve`` integrates every sweep in the same sector.
 
-Gap profiles come from one of two solvers, picked by the sector size.  Up
-to ``DENSE_MAX_DIM`` states, ``eigvalsh`` of the dense sector Hamiltonian
-at every interior grid point; above it, a warm-started block eigensolver
-(LOBPCG) that applies H(s) to a block of vectors one qudit axis at a time,
-never forming the matrix, and carries its block from one grid point to the
-next.  Both take the endpoints s = 0 and s = 1 in closed form.  A sector
-larger than ``MAX_SECTOR_DIM`` states is refused before anything is
-allocated.
+Gap profiles come from a warm-started block eigensolver (LOBPCG) that
+applies H(s) to a block of vectors one qudit axis at a time, never forming
+the matrix, and carries its blocks from one grid point to the next; the
+endpoints s = 0 and s = 1 are taken in closed form.  A sector larger than
+``MAX_SECTOR_DIM`` states is refused before anything is allocated.
 """
 from __future__ import annotations
 
@@ -44,29 +41,26 @@ from .lattice import GramMatrix, ResourceLimitError
 
 
 class SpectrumError(RuntimeError):
-    """Eigensolver failure: the block solver raises it when a grid point
-    has not converged after ``_MAX_ITERATIONS`` iterations."""
+    """Eigensolver failure: ``gap_scan`` raises it when a grid point has
+    not converged after ``_MAX_ITERATIONS`` iterations."""
 
 
 # largest sector gap_scan accepts.  The block solver holds a few blocks of
 # at most 3 (1 + N q) sector vectors, N qudits of q qubits: on 2 cores a
-# 33-point scan of 6D Hamming [-2,2] (15,625 states) took 4.3 s and peaked
-# at 18.6 MiB (tracemalloc), one of 7D binary [-2,1] (16,384) 3.9 s and
+# 33-point scan of 6D Hamming [-2,2] (15,625 states) took 4.2 s and peaked
+# at 18.6 MiB (tracemalloc), one of 7D binary [-2,1] (16,384) 4.0 s and
 # 41.6 MiB
 MAX_SECTOR_DIM = 1 << 14
 
-# sectors of at most this many states take dense eigvalsh, larger ones the
-# block solver.  The measured crossover, median 33-point scan over 4-6
-# lattices on 2 cores, dense against block: 125 states (3D Hamming [-2,2])
-# 20 against 27 ms, 128 (7D binary [-1,0]) 22 against 23 ms, 169 (2D
-# Hamming [-6,6]) 40 against 30 ms, 512 (3D binary [-4,3]) 435 against
-# 82 ms
-DENSE_MAX_DIM = 128
-
-# the block solver: its block after the first interior point, iterations
-# per grid point before it gives up, and its stopping tolerances (see
-# _block_scan)
+# the block solver (see _block_scan): its block after the first interior
+# point, the number of past grid points whose blocks warm-start the next
+# one, iterations per grid point before it gives up, and its stopping
+# tolerances.  Five past blocks, against two, cut the iterations of a
+# 33-point scan of sweep-ham's 125 states from 245 to 146 and its time from
+# 28 to 20 ms, under the 21 ms of dense eigvalsh (median over its six
+# lattices, 2 cores), and of sweep-bin's 512 states from 333 to 233
 _BLOCK = 4
+_HISTORY = 5
 _MAX_ITERATIONS = 500
 _EIG_RTOL = 1e-12
 _RESIDUAL_TOL = 1e-5
@@ -190,8 +184,7 @@ class GapProfile:
     ``iterations`` the block solver's LOBPCG iterations after its
     warm-start step and ``residual`` the larger residual norm
     ||H x_j - theta_j x_j|| of its two lowest Ritz pairs.  The closed-form
-    endpoints record 0 iterations and residual 0.0; dense ``eigvalsh``
-    points 0 iterations and residual NaN, since it computes no vectors."""
+    endpoints record 0 iterations and residual 0.0."""
 
     s_grid: np.ndarray
     e0: np.ndarray
@@ -233,51 +226,16 @@ def sector_hamiltonian_parts(
 def gap_scan(diag: ProblemDiagonal, driver: DriverSpec, grid: int = 33) -> GapProfile:
     """E0 and E1 of H(s) in the problem's qudit sector (the one
     ``dynamics.evolve`` integrates) at ``grid`` evenly spaced points of s
-    from 0 to 1: dense ``eigvalsh`` for sectors of at most
-    ``DENSE_MAX_DIM`` states, the warm-started block solver above."""
+    from 0 to 1, by the block solver ``_block_scan``."""
     if grid < 3:
         raise ValueError("need at least 3 grid points")
-    sgrid = np.linspace(0.0, 1.0, int(grid))
     d = diag.dim
     if d > MAX_SECTOR_DIM:
         raise ResourceLimitError(
             f"sector dimension {d} exceeds the {MAX_SECTOR_DIM}-state gap-scan "
             f"cap (at the cap a 33-point scan takes about 4 s and 42 MiB)"
         )
-    scan = _dense_scan if d <= DENSE_MAX_DIM else _block_scan
-    return scan(diag, driver, sgrid)
-
-
-def _profile(diag: ProblemDiagonal, driver: DriverSpec, sgrid: np.ndarray,
-             inner: list) -> GapProfile:
-    """The profile from the (E0, E1, iterations, residual) rows of the
-    interior points, with both endpoints in closed form: at s = 0 the
-    driver ground level and the first excited one (one qudit in its second
-    local level), at s = 1 the two smallest sector energies."""
-    lam = np.linalg.eigvalsh(diag.driver())
-    n = diag.n_qudits
-    low = np.partition(diag.values, 1)[:2]
-    rows = np.array([
-        (-driver.h0 * n * lam[-1], -driver.h0 * ((n - 1) * lam[-1] + lam[-2]), 0, 0.0),
-        *inner,
-        (low[0], low[1], 0, 0.0),
-    ], dtype=np.float64)
-    return GapProfile(s_grid=sgrid, e0=rows[:, 0], e1=rows[:, 1],
-                      iterations=rows[:, 2].astype(np.int64), residual=rows[:, 3])
-
-
-def _dense_scan(diag: ProblemDiagonal, driver: DriverSpec, sgrid: np.ndarray) -> GapProfile:
-    """``eigvalsh`` of the d x d sector Hamiltonian at every interior point."""
-    drv, dg = sector_hamiltonian_parts(diag, driver)
-    d = diag.dim
-    h = np.empty_like(drv)
-    inner = []
-    for s in sgrid[1:-1]:
-        np.multiply(drv, 1.0 - s, out=h)
-        h.flat[:: d + 1] += s * dg
-        vals = np.linalg.eigvalsh(h)
-        inner.append((vals[0], vals[1], 0, np.nan))
-    return _profile(diag, driver, sgrid, inner)
+    return _block_scan(diag, driver, np.linspace(0.0, 1.0, int(grid)))
 
 
 def _apply_h(x: np.ndarray, local: np.ndarray, values: np.ndarray, n_qudits: int) -> np.ndarray:
@@ -299,8 +257,12 @@ def _block_scan(diag: ProblemDiagonal, driver: DriverSpec, sgrid: np.ndarray) ->
 
     The first interior point starts from the s = 0 eigenvectors of the
     driver ground level and its whole first excited cluster; every later
-    one from a Rayleigh-Ritz step on the blocks of the previous two points,
-    keeping ``_BLOCK`` vectors.  The preconditioner is
+    one from a Rayleigh-Ritz step on the blocks of the previous
+    ``_HISTORY`` points, keeping ``_BLOCK`` vectors.  Where H(s) has a
+    symmetry (the reflection of every qudit of a symmetric Hamming range)
+    the start block holds one even vector, the ground state, and the odd
+    first excited cluster; an even E1 is still reached through the ground
+    vector's residual and the past ground vectors.  The preconditioner is
     1 / (|s E_i - theta_j| + (1 - s) h0).  A point is done when, for its
     two lowest Ritz pairs, the eigenvalue error bound
     ||r_j||^2 / max(theta_top - theta_j, ||r_j||) is at most
@@ -354,8 +316,17 @@ def _block_scan(diag: ProblemDiagonal, driver: DriverSpec, sgrid: np.ndarray) ->
                 f"{_MAX_ITERATIONS} iterations: residuals {norms[0]:.3e}, {norms[1]:.3e}"
             )
         inner.append((theta[0], theta[1], it, norms.max()))
-        blocks = [x, blocks[0]]
-    return _profile(diag, driver, sgrid, inner)
+        blocks = [x, *blocks[:_HISTORY - 1]]
+    # closed form at s = 0, the driver ground level and the first excited
+    # one, and at s = 1, the two smallest sector energies
+    low = np.partition(values, 1)[:2]
+    rows = np.array([
+        (-h0 * n * lam[-1], -h0 * ((n - 1) * lam[-1] + lam[-2]), 0, 0.0),
+        *inner,
+        (low[0], low[1], 0, 0.0),
+    ], dtype=np.float64)
+    return GapProfile(s_grid=sgrid, e0=rows[:, 0], e1=rows[:, 1],
+                      iterations=rows[:, 2].astype(np.int64), residual=rows[:, 3])
 
 
 def sector_gap_scan(

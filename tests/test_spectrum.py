@@ -262,6 +262,7 @@ BLOCK_CASES = (
     + [(2, seed, sa.QuditEncoding.hamming(rng=(-2, 2))) for seed in range(2)]
     + [(3, seed, sa.QuditEncoding.hamming(rng=(-1, 1))) for seed in range(2)]
     + [(4, seed, sa.QuditEncoding.hamming(rng=(-1, 1))) for seed in range(2)]
+    + [(4, seed, sa.QuditEncoding.hamming(rng=(-2, 2))) for seed in range(2)]
     + [(2, seed, sa.QuditEncoding.binary(rng=(-2, 1))) for seed in range(2)]
     + [(3, seed, sa.QuditEncoding.binary(rng=(-2, 1))) for seed in range(2)]
     + [(4, seed, sa.QuditEncoding.binary(rng=(-2, 1))) for seed in range(2)]
@@ -283,10 +284,11 @@ class TestBlockSolver:
         for e0, e1, (ref0, ref1) in zip(prof.e0, prof.e1, dense_levels(diag, drv, GRID)):
             assert_levels_close(e0, ref0)
             assert_levels_close(e1, ref1)
-        # the endpoints in closed form; every interior point iterated
+        # the endpoints in closed form; an interior point may converge on
+        # its warm-start step alone, with 0 iterations
         assert prof.iterations[[0, -1]].tolist() == [0, 0]
         assert prof.residual[[0, -1]].tolist() == [0.0, 0.0]
-        assert (prof.iterations[1:-1] > 0).all()
+        assert prof.iterations.sum() > 0
         assert (prof.residual[1:-1] <= spectrum._RESIDUAL_TOL).all()
 
     def test_4096_state_binary_sector(self):
@@ -317,24 +319,30 @@ class TestBlockSolver:
         assert g_star == pytest.approx(ref1 - ref0, abs=1e-10)
         assert 0.007 < g_star < 0.008
 
+    def test_even_first_excited_level(self):
+        # 3D Hamming [-3,3] seed 1 is symmetric under the reflection of
+        # every qudit, and the start block holds one even vector, the
+        # ground state, beside the odd first excited cluster; yet at
+        # s = 0.96875 E1 is even, with the odd E2 1e-4 above it
+        diag = lattice_diag(3, 1, sa.QuditEncoding.hamming(rng=(-3, 3)))
+        k = int(diag.level.max()) + 1
+        refl = np.arange(diag.dim).reshape(k, k, k)[::-1, ::-1, ::-1].reshape(-1)
+        assert np.array_equal(diag.values[refl], diag.values)
+        drv = sa.DriverSpec(1.0)
+        h, dg = spectrum.sector_hamiltonian_parts(diag, drv)
+        _, vecs = np.linalg.eigh(h / 32 + np.diag(dg * 31 / 32))
+        assert vecs[refl, 1] @ vecs[:, 1] == pytest.approx(1.0)
+        assert vecs[refl, 2] @ vecs[:, 2] == pytest.approx(-1.0)
+        prof = sa.gap_scan(diag, drv)
+        for e0, e1, (ref0, ref1) in zip(prof.e0, prof.e1, dense_levels(diag, drv, GRID)):
+            assert_levels_close(e0, ref0)
+            assert_levels_close(e1, ref1)
+
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectrum, "_MAX_ITERATIONS", 1)
         diag = lattice_diag(3, 0, sa.QuditEncoding.binary(rng=(-4, 3)))
         with pytest.raises(sa.SpectrumError, match=r"s=0\.03125 after 1 iterations"):
             sa.gap_scan(diag, sa.DriverSpec(1.0))
-
-    def test_agrees_with_dense_at_the_threshold(self):
-        # 7D binary [-1,0]: a sector of exactly DENSE_MAX_DIM states, the
-        # largest that gap_scan still solves densely
-        diag = lattice_diag(7, 0, sa.QuditEncoding.binary(k=0))
-        assert diag.dim == spectrum.DENSE_MAX_DIM
-        drv = sa.DriverSpec(0.8)
-        dense = sa.gap_scan(diag, drv)
-        block = spectrum._block_scan(diag, drv, dense.s_grid)
-        assert np.isnan(dense.residual[1:-1]).all()
-        assert not dense.iterations.any()
-        for e, ref in zip(np.r_[block.e0, block.e1], np.r_[dense.e0, dense.e1]):
-            assert_levels_close(e, ref)
 
     def test_degenerate_levels(self):
         # equal energies: E1 is 9-fold degenerate at every s, through the
@@ -345,10 +353,3 @@ class TestBlockSolver:
         for e0, e1, (ref0, ref1) in zip(prof.e0, prof.e1, dense_levels(diag, drv, GRID)):
             assert_levels_close(e0, ref0)
             assert_levels_close(e1, ref1)
-
-    def test_solver_picked_by_sector_size(self):
-        # a sector above the threshold takes the block solver
-        values = np.random.default_rng(1).integers(0, 50, spectrum.DENSE_MAX_DIM * 2)
-        prof = sa.gap_scan(sa.ProblemDiagonal(values), sa.DriverSpec(), grid=9)
-        assert (prof.iterations[1:-1] > 0).all()
-        assert np.isfinite(prof.residual).all()
