@@ -45,8 +45,9 @@ class SpectrumError(RuntimeError):
     not converged after ``_MAX_ITERATIONS`` iterations."""
 
 
-# largest sector gap_scan accepts.  The block solver holds a few blocks of
-# at most 3 (1 + N q) sector vectors, N qudits of q qubits: on 2 cores a
+# largest sector gap_scan accepts.  The block solver holds five past blocks
+# of 4 sector vectors and a search block of at most 3 (1 + N q), N qudits
+# of q qubits: on 2 cores a
 # 33-point scan of 6D Hamming [-2,2] (15,625 states) took 4.2 s and peaked
 # at 18.6 MiB (tracemalloc), one of 7D binary [-2,1] (16,384) 4.0 s and
 # 41.6 MiB
@@ -57,8 +58,8 @@ MAX_SECTOR_DIM = 1 << 14
 # one, iterations per grid point before it gives up, and its stopping
 # tolerances.  Five past blocks, against two, cut the iterations of a
 # 33-point scan of sweep-ham's 125 states from 245 to 146 and its time from
-# 28 to 20 ms, under the 21 ms of dense eigvalsh (median over its six
-# lattices, 2 cores), and of sweep-bin's 512 states from 333 to 233
+# 28 ms to 20-23 ms, level with dense eigvalsh's 21-22 ms (medians over
+# its six lattices, 2 cores), and of sweep-bin's 512 states from 333 to 233
 _BLOCK = 4
 _HISTORY = 5
 _MAX_ITERATIONS = 500
